@@ -123,6 +123,68 @@ void bm_zero_norm(benchmark::State& state) {
 }
 BENCHMARK(bm_zero_norm)->Arg(1000)->Arg(10000);
 
+// Key-space realignment, timed on its own: `superset` re-embeds a
+// 100,000-entry array in the union with another's keys (the A ⊕ B shape),
+// `subset` into every other row and column key (drops entries), `point`
+// realigns a one-entry lhs into a 65,536-key base — the per-query step of
+// the sharded and batched array paths.
+enum class RealignCase { kSuperset, kSubset, kPoint };
+
+KeySet every_other(const KeySet& s) {
+  std::vector<Key> ks;
+  for (std::size_t i = 0; i < s.size(); i += 2) ks.push_back(s[i]);
+  return KeySet(std::move(ks));
+}
+
+void bm_realign(benchmark::State& state, RealignCase which) {
+  constexpr std::size_t kEntries = 100000;
+  Arr a;
+  KeySet rows, cols;
+  switch (which) {
+    case RealignCase::kSuperset: {
+      a = random_array(kEntries, 1);
+      const auto b = random_array(kEntries, 2);
+      rows = key_union(a.row_keys(), b.row_keys());
+      cols = key_union(a.col_keys(), b.col_keys());
+      break;
+    }
+    case RealignCase::kSubset:
+      a = random_array(kEntries, 1);
+      rows = every_other(a.row_keys());
+      cols = every_other(a.col_keys());
+      break;
+    case RealignCase::kPoint: {
+      std::vector<Key> base;
+      for (int i = 0; i < 65536; ++i) base.emplace_back("v" + std::to_string(i));
+      a = Arr(std::vector<Key>{"v4242"}, std::vector<Key>{"v31337"},
+              std::vector<double>{1.0});
+      rows = a.row_keys();
+      cols = KeySet(std::move(base));
+      break;
+    }
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(a.realign(rows, cols));
+}
+BENCHMARK_CAPTURE(bm_realign, superset, RealignCase::kSuperset);
+BENCHMARK_CAPTURE(bm_realign, subset, RealignCase::kSubset);
+BENCHMARK_CAPTURE(bm_realign, point, RealignCase::kPoint);
+
+/// String-keyed ingest A(k1, k2, v) alone (keys built outside the loop).
+void bm_assoc_ingest(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Xoshiro256 rng(7);
+  std::vector<Key> k1, k2;
+  std::vector<double> v;
+  for (std::size_t i = 0; i < n; ++i) {
+    k1.emplace_back("ip-" + std::to_string(rng.bounded(n / 4)));
+    k2.emplace_back("ip-" + std::to_string(rng.bounded(n / 4)));
+    v.push_back(static_cast<double>(1 + rng.bounded(9)));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(Arr(k1, k2, v));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(bm_assoc_ingest)->Arg(131072)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -28,6 +28,7 @@
 #include "sparse/matrix.hpp"
 #include "sparse/mxm.hpp"
 #include "sparse/reduce.hpp"
+#include "sparse/slices.hpp"
 #include "sparse/transpose.hpp"
 
 namespace hyperspace::array {
@@ -42,19 +43,22 @@ class AssocArray {
   AssocArray() : data_(0, 0, S::zero()) {}
 
   /// Construction A = A(k1, k2, v) (Table II): parallel key/value vectors;
-  /// duplicate (k1, k2) pairs combine with ⊕ (multi-edge semantics).
+  /// duplicate (k1, k2) pairs combine with ⊕ (multi-edge semantics). Each
+  /// key side is sorted once and ranked (KeySet::ranked); triples are
+  /// emitted in input order, so duplicates fold in input order.
   AssocArray(const std::vector<Key>& k1, const std::vector<Key>& k2,
              const std::vector<value_type>& v) {
     if (k1.size() != k2.size() || k1.size() != v.size()) {
       throw std::invalid_argument("AssocArray: k1, k2, v length mismatch");
     }
-    rows_ = KeySet(k1);
-    cols_ = KeySet(k2);
+    const auto [rows, ri] = KeySet::ranked(k1);
+    const auto [cols, ci] = KeySet::ranked(k2);
+    rows_ = rows;
+    cols_ = cols;
     std::vector<sparse::Triple<value_type>> t;
     t.reserve(v.size());
     for (std::size_t i = 0; i < v.size(); ++i) {
-      t.push_back({static_cast<sparse::Index>(*rows_.find(k1[i])),
-                   static_cast<sparse::Index>(*cols_.find(k2[i])), v[i]});
+      t.push_back({ri[i], ci[i], v[i]});
     }
     data_ = sparse::Matrix<value_type>::template from_triples<S>(
         static_cast<sparse::Index>(rows_.size()),
@@ -172,12 +176,7 @@ class AssocArray {
   /// Sub-array A(rk, ck): rows/cols restricted to the given key sets
   /// (missing keys simply select nothing — no conformance errors).
   AssocArray extract(const KeySet& rk, const KeySet& ck) const {
-    std::vector<Entry> out;
-    for (auto& [r, c, v] : entries()) {
-      if (rk.contains(r) && ck.contains(c)) out.emplace_back(r, c, v);
-    }
-    AssocArray result = from_entries(out);
-    return result.realign(rk, ck);
+    return realign(rk, ck);
   }
 
   /// Rows of A whose key is in rk, all columns: A(rk, :).
@@ -193,20 +192,42 @@ class AssocArray {
 
   /// Re-embed this array in the given (super- or sub-) key spaces.
   /// Entries whose keys are absent from the new spaces are dropped.
+  /// Both key spaces are sorted, so the old→new position maps are monotone
+  /// and the remapped entries stay in canonical order: no per-entry key
+  /// search, no sort, no ⊕ fold. Maps cover only the view's rows and the
+  /// columns stored entries use, so a tiny array realigns into a huge key
+  /// space in O(log) comparisons per key.
   AssocArray realign(const KeySet& new_rows, const KeySet& new_cols) const {
-    std::vector<sparse::Triple<value_type>> t;
-    for (auto& [r, c, v] : entries()) {
-      const auto ri = new_rows.find(r);
-      const auto ci = new_cols.find(c);
-      if (ri && ci) {
-        t.push_back({static_cast<sparse::Index>(*ri),
-                     static_cast<sparse::Index>(*ci), v});
-      }
+    const auto v = data_.view();
+    const auto rmap = rows_.index_map(v.row_ids, new_rows);
+    std::vector<char> used(cols_.size(), 0);
+    for (const auto c : v.cols) used[static_cast<std::size_t>(c)] = 1;
+    std::vector<sparse::Index> used_ids;
+    for (std::size_t c = 0; c < used.size(); ++c) {
+      if (used[c]) used_ids.push_back(static_cast<sparse::Index>(c));
     }
-    auto m = sparse::Matrix<value_type>::template from_triples<S>(
-        static_cast<sparse::Index>(new_rows.size()),
-        static_cast<sparse::Index>(new_cols.size()), std::move(t));
-    return AssocArray(new_rows, new_cols, std::move(m));
+    const auto used_map = cols_.index_map(used_ids, new_cols);
+    std::vector<sparse::Index> cmap(cols_.size(), -1);
+    for (std::size_t i = 0; i < used_ids.size(); ++i) {
+      cmap[static_cast<std::size_t>(used_ids[i])] = used_map[i];
+    }
+    const auto t = sparse::detail::chunked_collect<value_type>(
+        static_cast<std::ptrdiff_t>(v.row_ids.size()), 256,
+        [&](std::ptrdiff_t ri, std::vector<sparse::Triple<value_type>>& part) {
+          const sparse::Index r = rmap[static_cast<std::size_t>(ri)];
+          if (r < 0) return;
+          const auto rc = v.row_cols(static_cast<std::size_t>(ri));
+          const auto rv = v.row_vals(static_cast<std::size_t>(ri));
+          for (std::size_t j = 0; j < rc.size(); ++j) {
+            const sparse::Index c = cmap[static_cast<std::size_t>(rc[j])];
+            if (c >= 0) part.push_back({r, c, rv[j]});
+          }
+        });
+    return AssocArray(new_rows, new_cols,
+                      sparse::Matrix<value_type>::from_canonical_triples(
+                          static_cast<sparse::Index>(new_rows.size()),
+                          static_cast<sparse::Index>(new_cols.size()), t,
+                          S::zero()));
   }
 
   /// Shrink key spaces to the non-empty rows/columns.

@@ -8,16 +8,28 @@
 // mixed-type key sets still sort deterministically). KeySet is the
 // sorted-unique container with the union/intersection operations that the
 // §IV annihilation conditions (row(A) ∩ row(B) = ∅ ...) are stated over.
+//
+// Real keys must be totally ordered, so NaN is rejected and -0.0 is stored
+// as +0.0 (the two compare equal; one spelling keeps equal keys
+// byte-identical whichever input position a key set keeps).
 
 #include <algorithm>
 #include <compare>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <ostream>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
+
+#include "util/parallel.hpp"
 
 namespace hyperspace::array {
 
@@ -26,7 +38,7 @@ class Key {
   Key() : v_(std::int64_t{0}) {}
   Key(std::int64_t i) : v_(i) {}                       // NOLINT(runtime/explicit)
   Key(int i) : v_(static_cast<std::int64_t>(i)) {}     // NOLINT(runtime/explicit)
-  Key(double d) : v_(d) {}                             // NOLINT(runtime/explicit)
+  Key(double d) : v_(real(d)) {}                       // NOLINT(runtime/explicit)
   Key(std::string s) : v_(std::move(s)) {}             // NOLINT(runtime/explicit)
   Key(const char* s) : v_(std::string(s)) {}           // NOLINT(runtime/explicit)
 
@@ -58,59 +70,120 @@ class Key {
   }
 
  private:
+  static double real(double d) {
+    if (std::isnan(d)) throw std::invalid_argument("Key: NaN is not a key");
+    return d == 0.0 ? 0.0 : d;
+  }
+
   std::variant<std::int64_t, double, std::string> v_;
 };
 
-/// Sorted-unique set of keys; positions double as matrix indices.
+/// Sorted-unique set of keys; positions double as matrix indices. A set
+/// is immutable once built, so copies share one key vector: embedding an
+/// array in a large key space (realign) copies no keys.
 class KeySet {
  public:
-  KeySet() = default;
-  KeySet(std::initializer_list<Key> ks) : keys_(ks) { normalize(); }
-  explicit KeySet(std::vector<Key> ks) : keys_(std::move(ks)) { normalize(); }
+  KeySet() : keys_(none()) {}
+  // Copy-only: a move would leave the source without its key vector.
+  KeySet(const KeySet&) = default;
+  KeySet& operator=(const KeySet&) = default;
+  KeySet(std::initializer_list<Key> ks) : KeySet(std::vector<Key>(ks)) {}
+  explicit KeySet(std::vector<Key> ks) {
+    std::sort(ks.begin(), ks.end());
+    ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+    keys_ = std::make_shared<const std::vector<Key>>(std::move(ks));
+  }
 
   /// {0, 1, ..., n-1} — the integer key range used by plain matrices.
   static KeySet range(std::int64_t n, std::int64_t start = 0) {
     std::vector<Key> ks;
     ks.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) ks.emplace_back(start + i);
-    KeySet s;
-    s.keys_ = std::move(ks);  // already sorted-unique
-    return s;
+    return sorted_unique(std::move(ks));
   }
 
-  std::size_t size() const { return keys_.size(); }
-  bool empty() const { return keys_.empty(); }
-  const Key& operator[](std::size_t i) const { return keys_[i]; }
-  const std::vector<Key>& keys() const { return keys_; }
-  auto begin() const { return keys_.begin(); }
-  auto end() const { return keys_.end(); }
+  std::size_t size() const { return keys_->size(); }
+  bool empty() const { return keys_->empty(); }
+  const Key& operator[](std::size_t i) const { return (*keys_)[i]; }
+  const std::vector<Key>& keys() const { return *keys_; }
+  auto begin() const { return keys_->begin(); }
+  auto end() const { return keys_->end(); }
 
   /// Index of `k` in the set, if present.
   std::optional<std::size_t> find(const Key& k) const {
-    const auto it = std::lower_bound(keys_.begin(), keys_.end(), k);
-    if (it == keys_.end() || !(*it == k)) return std::nullopt;
-    return static_cast<std::size_t>(it - keys_.begin());
+    const auto it = std::lower_bound(begin(), end(), k);
+    if (it == end() || !(*it == k)) return std::nullopt;
+    return static_cast<std::size_t>(it - begin());
   }
 
   bool contains(const Key& k) const { return find(k).has_value(); }
 
-  friend KeySet key_union(const KeySet& a, const KeySet& b) {
-    KeySet out;
-    out.keys_.reserve(a.size() + b.size());
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(out.keys_));
+  /// The set of `ks` plus each input key's position in it: one stable sort
+  /// of input positions by key, then one walk gives every distinct key its
+  /// rank — the sorted run *is* the set, so nothing is sorted twice.
+  static std::pair<KeySet, std::vector<std::int64_t>> ranked(
+      const std::vector<Key>& ks) {
+    std::vector<std::size_t> order(ks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    util::parallel_stable_sort(
+        order.begin(), order.end(),
+        [&ks](std::size_t a, std::size_t b) { return ks[a] < ks[b]; });
+    std::vector<Key> set;
+    std::vector<std::int64_t> rank(ks.size());
+    for (const std::size_t i : order) {
+      if (set.empty() || !(set.back() == ks[i])) set.push_back(ks[i]);
+      rank[i] = static_cast<std::int64_t>(set.size()) - 1;
+    }
+    return {sorted_unique(std::move(set)), std::move(rank)};
+  }
+
+  /// Position in `to` of each key (*this)[ids[i]], or -1 where `to` lacks
+  /// it. `ids` must increase, so the positions are monotone: the first key
+  /// is binary-searched and each later one gallops forward from the
+  /// previous hit — O(m log(n/m)) comparisons for m ids into n keys, never
+  /// a walk over all of `to`.
+  std::vector<std::int64_t> index_map(std::span<const std::int64_t> ids,
+                                      const KeySet& to) const {
+    const auto& tk = to.keys();
+    std::vector<std::int64_t> out(ids.size(), -1);
+    std::size_t lo = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const Key& k = (*this)[static_cast<std::size_t>(ids[i])];
+      std::size_t hi = tk.size();
+      if (i > 0) {  // all of tk[0, lo) is < k
+        hi = lo;
+        for (std::size_t step = 1; hi < tk.size() && tk[hi] < k; step *= 2) {
+          lo = hi + 1;
+          hi = lo + step;
+        }
+        hi = std::min(hi, tk.size());
+      }
+      lo = static_cast<std::size_t>(
+          std::lower_bound(tk.begin() + static_cast<std::ptrdiff_t>(lo),
+                           tk.begin() + static_cast<std::ptrdiff_t>(hi), k) -
+          tk.begin());
+      if (lo < tk.size() && tk[lo] == k) out[i] = static_cast<std::int64_t>(lo++);
+    }
     return out;
+  }
+
+  friend KeySet key_union(const KeySet& a, const KeySet& b) {
+    std::vector<Key> out;
+    out.reserve(a.size() + b.size());
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(out));
+    return sorted_unique(std::move(out));
   }
 
   friend KeySet key_intersection(const KeySet& a, const KeySet& b) {
-    KeySet out;
+    std::vector<Key> out;
     std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(out.keys_));
-    return out;
+                          std::back_inserter(out));
+    return sorted_unique(std::move(out));
   }
 
   friend bool operator==(const KeySet& a, const KeySet& b) {
-    return a.keys_ == b.keys_;
+    return a.keys_ == b.keys_ || *a.keys_ == *b.keys_;
   }
 
   friend std::ostream& operator<<(std::ostream& os, const KeySet& s) {
@@ -123,12 +196,19 @@ class KeySet {
   }
 
  private:
-  void normalize() {
-    std::sort(keys_.begin(), keys_.end());
-    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+  static const std::shared_ptr<const std::vector<Key>>& none() {
+    static const auto empty = std::make_shared<const std::vector<Key>>();
+    return empty;
   }
 
-  std::vector<Key> keys_;
+  /// Wrap keys that are already sorted-unique, skipping the sort.
+  static KeySet sorted_unique(std::vector<Key> ks) {
+    KeySet s;
+    s.keys_ = std::make_shared<const std::vector<Key>>(std::move(ks));
+    return s;
+  }
+
+  std::shared_ptr<const std::vector<Key>> keys_;
 };
 
 /// The §IV disjointness predicate: row(A) ∩ row(B) = ∅ etc.

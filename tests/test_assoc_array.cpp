@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <sstream>
+#include <string>
+
 #include "array/assoc_array.hpp"
+#include "helpers.hpp"
 #include "semiring/all.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -199,6 +206,284 @@ TEST(AssocArray, WrapMatrixShapeMismatchThrows) {
   EXPECT_THROW(Arr(KeySet{"a"}, KeySet{"b"},
                    sparse::Matrix<double>(2, 1, S::zero())),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle tests: realign, extract and the ingest constructor against the
+// per-entry key-search implementations they replaced, copied here as the
+// reference. Results must match byte for byte at every thread count.
+
+template <class Sr>
+AssocArray<Sr> reference_ingest(const std::vector<Key>& k1,
+                                const std::vector<Key>& k2,
+                                const std::vector<typename Sr::value_type>& v) {
+  using T = typename Sr::value_type;
+  const KeySet rows(k1);
+  const KeySet cols(k2);
+  std::vector<sparse::Triple<T>> t;
+  t.reserve(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    t.push_back({static_cast<sparse::Index>(*rows.find(k1[i])),
+                 static_cast<sparse::Index>(*cols.find(k2[i])), v[i]});
+  }
+  auto m = sparse::Matrix<T>::template from_triples<Sr>(
+      static_cast<sparse::Index>(rows.size()),
+      static_cast<sparse::Index>(cols.size()), std::move(t));
+  return AssocArray<Sr>(rows, cols, std::move(m));
+}
+
+template <class Sr>
+AssocArray<Sr> reference_realign(const AssocArray<Sr>& a, const KeySet& nr,
+                                 const KeySet& nc) {
+  using T = typename Sr::value_type;
+  std::vector<sparse::Triple<T>> t;
+  for (auto& [r, c, v] : a.entries()) {
+    const auto ri = nr.find(r);
+    const auto ci = nc.find(c);
+    if (ri && ci) {
+      t.push_back({static_cast<sparse::Index>(*ri),
+                   static_cast<sparse::Index>(*ci), v});
+    }
+  }
+  auto m = sparse::Matrix<T>::template from_triples<Sr>(
+      static_cast<sparse::Index>(nr.size()),
+      static_cast<sparse::Index>(nc.size()), std::move(t));
+  return AssocArray<Sr>(nr, nc, std::move(m));
+}
+
+template <class Sr>
+AssocArray<Sr> reference_extract(const AssocArray<Sr>& a, const KeySet& rk,
+                                 const KeySet& ck) {
+  std::vector<Key> k1, k2;
+  std::vector<typename Sr::value_type> v;
+  for (auto& [r, c, val] : a.entries()) {
+    if (rk.contains(r) && ck.contains(c)) {
+      k1.push_back(r);
+      k2.push_back(c);
+      v.push_back(val);
+    }
+  }
+  return reference_realign(reference_ingest<Sr>(k1, k2, v), rk, ck);
+}
+
+template <class U>
+void expect_same_bytes(std::span<const U> got, std::span<const U> want) {
+  ASSERT_EQ(got.size(), want.size());
+  if (!got.empty()) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(U)), 0);
+  }
+}
+
+template <class Sr>
+std::string printed(const AssocArray<Sr>& a) {
+  std::ostringstream os;
+  os << a.row_keys() << ' ' << a.col_keys() << '\n' << a;
+  return os.str();
+}
+
+template <class Sr>
+void expect_identical(const AssocArray<Sr>& got, const AssocArray<Sr>& want) {
+  using T = typename Sr::value_type;
+  EXPECT_EQ(printed(got), printed(want));
+  const auto& g = got.matrix();
+  const auto& w = want.matrix();
+  EXPECT_EQ(g.format(), w.format());
+  EXPECT_EQ(g.nrows(), w.nrows());
+  EXPECT_EQ(g.ncols(), w.ncols());
+  EXPECT_EQ(g.nnz(), w.nnz());
+  EXPECT_EQ(std::memcmp(&g.implicit_zero(), &w.implicit_zero(), sizeof(T)), 0);
+  const auto gv = g.view();
+  const auto wv = w.view();
+  expect_same_bytes(gv.row_ids, wv.row_ids);
+  expect_same_bytes(gv.row_ptr, wv.row_ptr);
+  expect_same_bytes(gv.cols, wv.cols);
+  expect_same_bytes(gv.vals, wv.vals);
+}
+
+constexpr int kThreadSweep[] = {1, 2, 8};
+
+void expect_realign_matches(const Arr& a, const KeySet& nr, const KeySet& nc) {
+  const auto want = reference_realign(a, nr, nc);
+  for (const int nt : kThreadSweep) {
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    hyperspace::testing::ThreadGuard g(nt);
+    expect_identical(a.realign(nr, nc), want);
+  }
+}
+
+/// Values whose float sum depends on fold order: huge and tiny magnitudes
+/// of both signs.
+double order_sensitive(util::Xoshiro256& rng) {
+  static constexpr double kMag[] = {1e16, 1.0, 3e-3, 7e8, 0.1};
+  const double m = kMag[rng.bounded(5)];
+  return rng.bounded(2) ? m : -m;
+}
+
+struct Triples {
+  std::vector<Key> k1, k2;
+  std::vector<double> v;
+};
+
+Triples string_triples(std::size_t n, std::uint64_t nrow_keys,
+                       std::uint64_t ncol_keys, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  Triples t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.k1.emplace_back("r" + std::to_string(rng.bounded(nrow_keys)));
+    t.k2.emplace_back("c" + std::to_string(rng.bounded(ncol_keys)));
+    t.v.push_back(order_sensitive(rng));
+  }
+  return t;
+}
+
+Key mixed_key(util::Xoshiro256& rng, std::uint64_t n) {
+  const auto i = static_cast<std::int64_t>(rng.bounded(n));
+  switch (rng.bounded(3)) {
+    case 0: return Key(i);
+    case 1: return Key(static_cast<double>(i) / 4.0);
+    default: return Key("m" + std::to_string(i));
+  }
+}
+
+Triples mixed_triples(std::size_t n, std::uint64_t nkeys, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  Triples t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.k1.push_back(mixed_key(rng, nkeys));
+    t.k2.push_back(mixed_key(rng, nkeys));
+    t.v.push_back(order_sensitive(rng));
+  }
+  return t;
+}
+
+Arr build(const Triples& t) { return Arr(t.k1, t.k2, t.v); }
+
+/// Every `stride`-th key of `s`, starting at `offset`.
+KeySet every(const KeySet& s, std::size_t stride, std::size_t offset = 0) {
+  std::vector<Key> ks;
+  for (std::size_t i = offset; i < s.size(); i += stride) ks.push_back(s[i]);
+  return KeySet(std::move(ks));
+}
+
+TEST(AssocArrayOracle, IngestFoldsDuplicatesLikeReference) {
+  // 40,000 entries over 50 x 40 keys: every pair repeats ~20 times, and
+  // the sums depend on fold order. Large enough for the parallel sorts.
+  const auto t = string_triples(40000, 50, 40, 11);
+  const auto want = reference_ingest<S>(t.k1, t.k2, t.v);
+  for (const int nt : kThreadSweep) {
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    hyperspace::testing::ThreadGuard g(nt);
+    expect_identical(build(t), want);
+  }
+}
+
+TEST(AssocArrayOracle, IngestSparseStringAndMixedKeys) {
+  const auto s = string_triples(30000, 20000, 5000, 12);
+  const auto m = mixed_triples(30000, 3000, 13);
+  for (const auto* t : {&s, &m}) {
+    const auto want = reference_ingest<S>(t->k1, t->k2, t->v);
+    for (const int nt : kThreadSweep) {
+      SCOPED_TRACE("threads=" + std::to_string(nt));
+      hyperspace::testing::ThreadGuard g(nt);
+      expect_identical(build(*t), want);
+    }
+  }
+}
+
+TEST(AssocArrayOracle, IngestEmptyAndSingle) {
+  const Triples none;
+  expect_identical(build(none), reference_ingest<S>(none.k1, none.k2, none.v));
+  const Triples one{{Key("r")}, {Key(2.5)}, {4.0}};
+  expect_identical(build(one), reference_ingest<S>(one.k1, one.k2, one.v));
+}
+
+TEST(AssocArrayOracle, RealignSuperset) {
+  const auto a = build(string_triples(30000, 8000, 3000, 21));
+  const auto b = build(string_triples(30000, 8000, 3000, 22));
+  expect_realign_matches(a, key_union(a.row_keys(), b.row_keys()),
+                         key_union(a.col_keys(), b.col_keys()));
+  expect_realign_matches(a, key_union(a.row_keys(), b.row_keys()),
+                         a.col_keys());
+}
+
+TEST(AssocArrayOracle, RealignSubsetDropsEntries) {
+  const auto a = build(string_triples(30000, 8000, 3000, 23));
+  const KeySet rows = every(a.row_keys(), 2);
+  const KeySet cols = every(a.col_keys(), 3, 1);
+  expect_realign_matches(a, rows, cols);
+  expect_realign_matches(a, a.row_keys(), cols);
+  expect_realign_matches(a, rows, a.col_keys());
+  // Partly overlapping: half the old keys plus keys the array never used.
+  const auto b = build(string_triples(2000, 16000, 6000, 24));
+  expect_realign_matches(a, key_union(rows, b.row_keys()),
+                         key_union(cols, b.col_keys()));
+}
+
+TEST(AssocArrayOracle, RealignDisjointIdentityAndEmpty) {
+  const auto a = build(string_triples(20000, 5000, 2000, 25));
+  const KeySet foreign{"zz0", "zz1", Key(7), Key(0.5)};
+  expect_realign_matches(a, foreign, foreign);
+  expect_realign_matches(a, a.row_keys(), foreign);
+  expect_realign_matches(a, a.row_keys(), a.col_keys());
+  expect_realign_matches(a, KeySet{}, KeySet{});
+  expect_realign_matches(a, KeySet{}, a.col_keys());
+  expect_realign_matches(Arr(), a.row_keys(), a.col_keys());
+  expect_realign_matches(Arr(), KeySet{}, KeySet{});
+}
+
+TEST(AssocArrayOracle, RealignMixedKeyTypes) {
+  const auto a = build(mixed_triples(20000, 2000, 26));
+  const auto b = build(mixed_triples(20000, 4000, 27));
+  expect_realign_matches(a, key_union(a.row_keys(), b.row_keys()),
+                         key_union(a.col_keys(), b.col_keys()));
+  expect_realign_matches(a, every(a.row_keys(), 3), every(a.col_keys(), 2, 1));
+  expect_realign_matches(a, b.row_keys(), b.col_keys());
+}
+
+TEST(AssocArrayOracle, RealignPointIntoLargeKeySpace) {
+  // The per-query shape of the sharded and batched array paths: a
+  // one-entry lhs realigned into a 65,536-key base.
+  std::vector<Key> ks;
+  for (int i = 0; i < 65536; ++i) ks.emplace_back("v" + std::to_string(i));
+  const KeySet base(std::move(ks));
+  for (const char* col : {"v0", "v31337", "v65535", "absent"}) {
+    const Arr lhs(std::vector<Key>{"q"}, std::vector<Key>{col},
+                  std::vector<double>{1.5});
+    expect_realign_matches(lhs, lhs.row_keys(), base);
+    expect_realign_matches(lhs, base, base);
+    // The result shares the base's keys rather than copying 65,536 of them.
+    EXPECT_EQ(&lhs.realign(lhs.row_keys(), base).col_keys().keys(),
+              &base.keys());
+  }
+}
+
+TEST(AssocArrayOracle, RealignDenseAndBitmapPayloads) {
+  const auto ones = Arr::ones(KeySet{"a", "b", "c"}, KeySet{Key(1), Key(2)});
+  ASSERT_EQ(ones.matrix().format(), sparse::Format::kDense);
+  expect_realign_matches(ones, ones.row_keys(), ones.col_keys());
+  expect_realign_matches(ones, KeySet{"a", "b", "c", "d"}, ones.col_keys());
+  expect_realign_matches(ones, KeySet{"b", "z"}, KeySet{Key(2), Key(3)});
+}
+
+TEST(AssocArrayOracle, ExtractMatchesReferenceAndRealign) {
+  const auto a = build(string_triples(20000, 5000, 2000, 28));
+  const KeySet rows = every(a.row_keys(), 2);
+  const KeySet cols = every(a.col_keys(), 4, 3);
+  const KeySet foreign{"nobody", Key(3)};
+  const std::pair<KeySet, KeySet> cases[] = {
+      {rows, cols}, {rows, a.col_keys()}, {a.row_keys(), cols},
+      {foreign, cols}, {foreign, foreign}, {KeySet{}, KeySet{}}};
+  for (const auto& [rk, ck] : cases) {
+    const auto want = reference_extract(a, rk, ck);
+    for (const int nt : kThreadSweep) {
+      SCOPED_TRACE("threads=" + std::to_string(nt));
+      hyperspace::testing::ThreadGuard g(nt);
+      expect_identical(a.extract(rk, ck), want);
+      expect_identical(a.realign(rk, ck), want);
+    }
+  }
+  expect_identical(sample().extract(KeySet{"nobody"}, KeySet{"age"}),
+                   reference_extract(sample(), KeySet{"nobody"}, KeySet{"age"}));
 }
 
 }  // namespace
