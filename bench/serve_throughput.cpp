@@ -220,13 +220,10 @@ BENCHMARK(bm_serve_executor_async)->Arg(8)->Arg(64);
 
 void bm_serve_multibase(benchmark::State& state) {
   // K point queries spread round-robin over G=4 bases. Arg1 selects the
-  // dispatch: 0 = ONE cross-base block-diagonal launch on the stack a
-  // long-lived server caches at startup (run_batch_on_stack — the
-  // executor's steady-state path; stacking the bases is a one-time cost
-  // outside the measurement), 1 = one coalesced batch per base
-  // (G launches), 2 = per-query dispatch (K launches). The 0-vs-1 gap is
-  // what stacking the bases themselves buys once per-launch costs
-  // dominate.
+  // dispatch: 1 = one coalesced batch per base (G launches — what a
+  // multi-base Executor runs per flush), 2 = per-query dispatch (K
+  // launches). The 1-vs-2 gap is single-base coalescing against the fixed
+  // per-launch cost.
   const int k = static_cast<int>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
   const Index n = 2048;
@@ -236,18 +233,10 @@ void bm_serve_multibase(benchmark::State& state) {
     bases.push_back(
         er_matrix(n, static_cast<std::size_t>(n) * 16, 10 + g));
   }
-  std::vector<const sparse::Matrix<double>*> bptrs;
-  for (const auto& b : bases) bptrs.push_back(&b);
-  const auto stack = sparse::stack_bases<double>(bptrs);
   const auto qs = make_queries(0, k, n, 5);
-  std::vector<std::size_t> ids(qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) ids[i] = i % kBases;
   serve::ServeStats stats;
   for (auto _ : state) {
-    if (mode == 0) {
-      benchmark::DoNotOptimize(serve::run_batch_on_stack<S>(
-          stack, qs, ids, sparse::MxmStrategy::kAuto, &stats));
-    } else if (mode == 1) {
+    if (mode == 1) {
       for (std::size_t g = 0; g < kBases; ++g) {
         std::vector<serve::Query<S>> group;
         for (std::size_t i = g; i < qs.size(); i += kBases) {
@@ -258,26 +247,19 @@ void bm_serve_multibase(benchmark::State& state) {
       }
     } else {
       for (std::size_t i = 0; i < qs.size(); ++i) {
-        benchmark::DoNotOptimize(serve::run_single(bases[ids[i]], qs[i]));
+        benchmark::DoNotOptimize(
+            serve::run_single(bases[i % kBases], qs[i]));
       }
     }
   }
-  if (mode == 0 && stats.batches > 0) {
-    state.counters["launches_saved_per_flush"] = static_cast<double>(
-        stats.launches_saved / stats.batches);
-  }
   state.counters["queries_per_s"] = benchmark::Counter(
       static_cast<double>(k), benchmark::Counter::kIsIterationInvariantRate);
-  state.SetLabel(std::string(mode == 0   ? "cross-base batched"
-                             : mode == 1 ? "per-base batched"
-                                         : "per-query") +
+  state.SetLabel(std::string(mode == 1 ? "per-base batched" : "per-query") +
                  ", K=" + std::to_string(k) + ", G=4 bases");
 }
 BENCHMARK(bm_serve_multibase)
-    ->Args({8, 0})
     ->Args({8, 1})
     ->Args({8, 2})
-    ->Args({64, 0})
     ->Args({64, 1})
     ->Args({64, 2});
 
@@ -312,7 +294,7 @@ void bm_serve_sharded(benchmark::State& state) {
                  ", K=" + std::to_string(k) + ", point lookups");
 }
 // Iterations are pinned: the router is a long-lived server (the shard
-// split is a one-time cost outside the loop, as in bm_serve_multibase) and
+// split is a one-time cost outside the loop) and
 // its ticket ledger grows per submit, so the iteration count bounds memory.
 BENCHMARK(bm_serve_sharded)
     ->Iterations(256)
@@ -330,7 +312,7 @@ void bm_serve_mixed_rw(benchmark::State& state) {
   // ticket. Arg0 = K (query rate per tick), Arg1 = M (mutation rate per
   // tick), Arg2 = shard count (1 = plain executor path). The M=0 rows are
   // the read-only baseline; the grid shows what live writes cost the read
-  // path (delta-overlay probes + stale-stack fallbacks) at each rate.
+  // path (delta-overlay probes) at each rate.
   const int k = static_cast<int>(state.range(0));
   const int muts = static_cast<int>(state.range(1));
   const int shards = static_cast<int>(state.range(2));

@@ -88,78 +88,12 @@ std::vector<AssocArray<S>> mtimes_batched(
   return mtimes_batched<S>(base, ptrs, stats);
 }
 
-/// A BatchQuery routed at one of several base arrays (multi-base serving).
+/// A BatchQuery routed at one of several base arrays (multi-base serving,
+/// db::planned_multi_batch).
 template <semiring::Semiring S>
 struct MultiBatchQuery {
   std::size_t base = 0;  ///< index into the bases list
   BatchQuery<S> q;
 };
-
-/// Execute queries against SEVERAL bases as one coalesced launch
-/// (serve::run_batch_multi block-diagonal-stacks the bases themselves).
-/// Every query must be batchable() against ITS base; each result is
-/// entry-identical to mtimes / mtimes_masked against that base alone.
-template <semiring::Semiring S>
-std::vector<AssocArray<S>> mtimes_batched_multi(
-    std::span<const AssocArray<S>* const> bases,
-    std::span<const MultiBatchQuery<S>* const> queries,
-    serve::ServeStats* stats = nullptr) {
-  using T = typename S::value_type;
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> base_ids;
-  qs.reserve(queries.size());
-  base_ids.reserve(queries.size());
-  for (const auto* mq : queries) {
-    if (mq->base >= bases.size() || bases[mq->base] == nullptr) {
-      throw std::invalid_argument("mtimes_batched_multi: bad base index");
-    }
-    const auto& base = *bases[mq->base];
-    if (!batchable(base, mq->q)) {
-      throw std::invalid_argument(
-          "mtimes_batched_multi: query inner keys outside base row keys");
-    }
-    // The realignments per-query mtimes would perform, in base coordinates.
-    auto lhs =
-        mq->q.lhs.realign(mq->q.lhs.row_keys(), base.row_keys()).matrix();
-    if (mq->q.mask) {
-      auto mask =
-          mq->q.mask->realign(mq->q.lhs.row_keys(), base.col_keys()).matrix();
-      qs.push_back(serve::Query<S>::masked(std::move(lhs),
-                                                  std::move(mask),
-                                                  mq->q.desc));
-    } else {
-      qs.push_back(serve::Query<S>::analytic(std::move(lhs)));
-    }
-    base_ids.push_back(mq->base);
-  }
-  std::vector<const sparse::Matrix<T>*> base_mats;
-  base_mats.reserve(bases.size());
-  for (const auto* b : bases) {
-    base_mats.push_back(b == nullptr ? nullptr : &b->matrix());
-  }
-  auto rs = serve::run_batch_multi<S>(base_mats, qs, base_ids,
-                                      sparse::MxmStrategy::kAuto, stats);
-  std::vector<AssocArray<S>> out;
-  out.reserve(rs.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    out.emplace_back(queries[i]->q.lhs.row_keys(),
-                     bases[base_ids[i]]->col_keys(), std::move(rs[i]));
-  }
-  return out;
-}
-
-template <semiring::Semiring S>
-std::vector<AssocArray<S>> mtimes_batched_multi(
-    const std::vector<const AssocArray<S>*>& bases,
-    const std::vector<MultiBatchQuery<S>>& queries,
-    serve::ServeStats* stats = nullptr) {
-  std::vector<const MultiBatchQuery<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const auto& q : queries) ptrs.push_back(&q);
-  return mtimes_batched_multi<S>(
-      std::span<const AssocArray<S>* const>(bases.data(), bases.size()),
-      std::span<const MultiBatchQuery<S>* const>(ptrs.data(), ptrs.size()),
-      stats);
-}
 
 }  // namespace hyperspace::array

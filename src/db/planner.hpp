@@ -155,8 +155,8 @@ BatchRoute route_batch_query(const array::AssocArray<S>& base,
 /// survivors split two ways:
 ///
 ///   * batchable (inner alignment = the base's row key space, see
-///     array::batchable) — coalesced into ONE block-diagonal launch
-///     through serve::run_batch;
+///     array::batchable) — coalesced into ONE launch through
+///     array::mtimes_batched (serve::run_batch);
 ///   * incompatible key spaces — per-query planned fallback. (Semiring
 ///     compatibility is the template parameter: queries over different
 ///     semirings cannot share a batch by construction.)
@@ -297,9 +297,8 @@ std::vector<array::AssocArray<S>> planned_sharded_batch(
 /// SEVERAL base arrays. Every query gets the same §IV inner-key and §V-B
 /// mask-annihilation prechecks against its own base; the survivors split:
 ///
-///   * batchable against their base — coalesced into ONE cross-base
-///     block-diagonal launch (serve::run_batch_multi stacks the bases
-///     themselves);
+///   * batchable against their base — grouped per base, each group one
+///     coalesced launch through array::mtimes_batched;
 ///   * incompatible key spaces — per-query planned fallback against their
 ///     base, exactly as the single-base router falls back.
 ///
@@ -311,7 +310,8 @@ std::vector<array::AssocArray<S>> planned_multi_batch(
     const std::vector<array::MultiBatchQuery<S>>& queries,
     PlanStats* stats = nullptr, serve::ServeStats* serve_stats = nullptr) {
   std::vector<array::AssocArray<S>> out(queries.size());
-  std::vector<std::size_t> coalesce;
+  // coalesce[b]: the batchable queries routed at base b, in query order.
+  std::vector<std::vector<std::size_t>> coalesce(bases.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto& mq = queries[i];
     if (mq.base >= bases.size() || bases[mq.base] == nullptr) {
@@ -323,7 +323,7 @@ std::vector<array::AssocArray<S>> planned_multi_batch(
       case detail::BatchRoute::kAnnihilated:
         break;  // out[i] stays the empty array, exactly as planned_mtimes
       case detail::BatchRoute::kCoalesce:
-        coalesce.push_back(i);
+        coalesce[mq.base].push_back(i);
         break;
       case detail::BatchRoute::kFallback:
         out[i] = q.mask ? planned_mtimes_masked(q.lhs, base, *q.mask, q.desc,
@@ -333,24 +333,21 @@ std::vector<array::AssocArray<S>> planned_multi_batch(
         break;
     }
   }
-  if (!coalesce.empty()) {
-    std::vector<const array::MultiBatchQuery<S>*> group;
-    group.reserve(coalesce.size());
-    for (const auto i : coalesce) group.push_back(&queries[i]);
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    if (coalesce[b].empty()) continue;
+    // Pointers, not copies: each group is consulted in place.
+    std::vector<const array::BatchQuery<S>*> group;
+    group.reserve(coalesce[b].size());
+    for (const auto i : coalesce[b]) group.push_back(&queries[i].q);
     serve::ServeStats ss;
-    auto rs = array::mtimes_batched_multi<S>(
-        std::span<const array::AssocArray<S>* const>(bases.data(),
-                                                     bases.size()),
-        std::span<const array::MultiBatchQuery<S>* const>(group.data(),
-                                                          group.size()),
-        &ss);
-    for (std::size_t k = 0; k < coalesce.size(); ++k) {
-      out[coalesce[k]] = std::move(rs[k]);
+    auto rs = array::mtimes_batched<S>(*bases[b], group, &ss);
+    for (std::size_t k = 0; k < coalesce[b].size(); ++k) {
+      out[coalesce[b][k]] = std::move(rs[k]);
     }
     if (stats) {
       ++stats->batches;
-      stats->queries_batched += static_cast<int>(coalesce.size());
-      stats->products_evaluated += static_cast<int>(coalesce.size());
+      stats->queries_batched += static_cast<int>(coalesce[b].size());
+      stats->products_evaluated += static_cast<int>(coalesce[b].size());
       stats->mask_flops_kept += ss.flops_kept;
       stats->mask_flops_skipped += ss.flops_skipped;
     }

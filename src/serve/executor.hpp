@@ -1,13 +1,11 @@
 #pragma once
-// Executor — the serving loop's front door over run_batch /
-// run_batch_on_stack.
+// Executor — the serving loop's front door over run_batch.
 //
 // Queries are submitted against one of several base matrices the executor
 // owns, tagged with a tenant id, and queued per tenant. A flush drains the
 // queues into coalesced batches under the admission policy and runs each
-// batch as a single launch — queries against *different* bases still share
-// one launch via the block-diagonal base stack built ONCE at construction
-// (run_batch_on_stack, so a flush pays O(queries), never O(nnz(bases))):
+// batch as one coalesced launch per base it touches (run_batch against
+// that base's pinned snapshot; a single-base batch is one launch):
 //
 //   * max_batch_queries  — close a batch after this many queries (bounds
 //     result latency and stacked-operand size);
@@ -174,21 +172,6 @@ class Executor : public Service<S> {
     for (auto& b : bases) {
       bases_.push_back(std::make_unique<sparse::DeltaBase<S>>(std::move(b),
                                                               cfg_.delta));
-    }
-    if (bases_.size() > 1) {
-      // Stack the bases block-diagonally ONCE: every mixed-base flush at
-      // epoch 0 then runs on the cached stack (run_batch_on_stack), paying
-      // O(queries) per batch instead of O(nnz(bases)). Once a base has
-      // been mutated its stacked block is stale, so mixed batches touching
-      // a mutated base fall back to per-base launches (run_admitted).
-      std::vector<const sparse::Matrix<T>*> ptrs;
-      ptrs.reserve(bases_.size());
-      for (const auto& b : bases_) {
-        ptrs.push_back(&b->main_matrix());
-        stacked_cols_ += b->ncols();
-      }
-      stack_ = sparse::stack_bases<T>(ptrs, S::zero());
-      (void)stack_.stacked.view();
     }
     if (cfg_.async) {
       flusher_running_ = true;
@@ -630,32 +613,48 @@ class Executor : public Service<S> {
     }
   }
 
-  void run_admitted(std::vector<Pending>& batch) {
-    std::vector<Query<S>> qs;
-    std::vector<std::size_t> ids;
-    qs.reserve(batch.size());
-    ids.reserve(batch.size());
-    bool mixed = false;
-    std::uint64_t batch_flops = 0;
-    for (auto& p : batch) {
-      qs.push_back(std::move(p.q));
-      ids.push_back(p.base);
-      batch_flops += p.flops;
-      mixed |= p.base != batch.front().base;
+  /// Group the batch per base, in ascending base id, and run each group as
+  /// one coalesced launch against the base's pinned snapshot; a
+  /// single-base batch is one group. Groups are pointer spans, so no
+  /// operand is copied. Results come back in batch order.
+  std::vector<sparse::Matrix<T>> run_per_base(
+      const std::vector<Pending>& batch,
+      const std::vector<std::shared_ptr<const sparse::DeltaSnapshot<T>>>&
+          snaps,
+      ServeStats* ss) const {
+    std::vector<sparse::Matrix<T>> out(batch.size());
+    std::vector<const Query<S>*> group;
+    std::vector<std::size_t> where;
+    group.reserve(batch.size());
+    where.reserve(batch.size());
+    for (std::size_t id = 0; id < snaps.size(); ++id) {
+      if (!snaps[id]) continue;  // no query of this batch targets base id
+      group.clear();
+      where.clear();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (batch[i].base == id) {
+          group.push_back(&batch[i].q);
+          where.push_back(i);
+        }
+      }
+      auto rs = run_batch<S>(*snaps[id], group, cfg_.strategy, ss);
+      for (std::size_t k = 0; k < where.size(); ++k) {
+        out[where[k]] = std::move(rs[k]);
+      }
     }
+    return out;
+  }
+
+  void run_admitted(const std::vector<Pending>& batch) {
+    std::uint64_t batch_flops = 0;
+    for (const auto& p : batch) batch_flops += p.flops;
     // Pin the involved bases' snapshots FIRST: the whole batch runs on
     // the epochs captured here even if mutations land mid-run, and the
     // shared_ptrs keep those epochs alive past any concurrent compaction.
     std::vector<std::shared_ptr<const sparse::DeltaSnapshot<T>>> snaps(
         bases_.size());
-    std::uint64_t max_epoch = 0;
-    bool all_epoch0 = true;
-    for (const auto id : ids) {
-      if (!snaps[id]) {
-        snaps[id] = bases_[id]->snapshot();
-        max_epoch = std::max(max_epoch, snaps[id]->epoch);
-        all_epoch0 &= snaps[id]->epoch == 0;
-      }
+    for (const auto& p : batch) {
+      if (!snaps[p.base]) snaps[p.base] = bases_[p.base]->snapshot();
     }
     const bool telemetry = util::metrics::enabled();
     const bool timed = ctrl_.enabled() || telemetry;
@@ -665,32 +664,7 @@ class Executor : public Service<S> {
                                   trace::Tracer::instance().enabled());
     kernel_span.args(batch_flops, batch.size());
     ServeStats ss;
-    std::vector<sparse::Matrix<T>> rs;
-    if (!mixed) {
-      // Single-base batch: the plain coalesced path, bit for bit.
-      rs = run_batch(*snaps[ids.front()], qs, cfg_.strategy, &ss);
-    } else if (!all_epoch0 ||
-               (cfg_.strategy == sparse::MxmStrategy::kGustavson &&
-                stacked_cols_ > sparse::kMaxGustavsonWidth)) {
-      // Per-base fallback: either an involved base has been mutated (the
-      // construction-time stack is stale for it), or a forced dense
-      // scratch fits per base (checked at construction) but not stacked.
-      // Group the batch per base and run each group as its own coalesced
-      // launch — never restack, never widen the scratch.
-      std::vector<const Query<S>*> ptrs;
-      ptrs.reserve(qs.size());
-      for (const auto& q : qs) ptrs.push_back(&q);
-      rs = detail::run_batch_per_base<S>(
-          [&snaps](std::size_t id) -> const sparse::DeltaSnapshot<T>& {
-            return *snaps[id];
-          },
-          ptrs, ids, cfg_.strategy, &ss);
-    } else {
-      // Mixed-base batch, every involved base still at epoch 0: run on
-      // the stack cached at construction — ONE launch.
-      rs = run_batch_on_stack<S>(stack_, qs, ids, cfg_.strategy, &ss);
-    }
-    ss.epoch = std::max(ss.epoch, max_epoch);
+    auto rs = run_per_base(batch, snaps, &ss);
     kernel_span.finish();
     if (cache_.enabled()) {
       // Install every cacheable answer under the epoch the batch actually
@@ -798,8 +772,6 @@ class Executor : public Service<S> {
 
   std::vector<std::unique_ptr<sparse::DeltaBase<S>>> bases_;
   Config cfg_;
-  sparse::BaseStack<T> stack_;    ///< cached blkdiag stack (≥ 2 bases only)
-  sparse::Index stacked_cols_ = 0;
   AdmissionController ctrl_;      ///< adaptive admission (off by default)
   AdmissionController::Limits live_{};  ///< limits in force (under mu_)
   ResultCache<S> cache_;          ///< internally locked; off by default

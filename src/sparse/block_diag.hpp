@@ -1,19 +1,17 @@
 #pragma once
 // Block assembly for batched query serving — stack many operands into one.
 //
-// The serving engine (serve/) turns K concurrent queries against a shared
-// base matrix into ONE masked product: per-query left operands concatenate
-// into disjoint row ranges (concat_rows), per-query masks concatenate the
-// same way, and the stacked result splits back per query (split_rows).
-// block_diag additionally offsets columns, so queries against *different*
-// bases coalesce too:
-//
-//   block_diag(A_1..A_K) ⊕.⊗ concat_rows(B_1..B_K)  =  concat_rows(C_1..C_K)
+// The serving engine (serve/batch.hpp) turns K concurrent queries against a
+// shared base matrix into ONE product: per-query left operands concatenate
+// into disjoint row ranges of one operand (concat_blocks / concat_rows),
+// and the kernel's row slices scatter back per query. split_rows is the
+// matrix-level inverse of concat_rows (the shard map cuts a base into
+// row-range shards with it).
 //
 // Everything here is an offset-shifted CSR concat: row pointers, column
 // indices, and values are copied in parallel to positions fixed by the
-// input alone (per-block offsets), so assembly is deterministic at any
-// thread count — and the split result is bit-identical to what each query
+// input alone (per-block row offsets), so assembly is deterministic at any
+// thread count — and a split result is bit-identical to what each query
 // would have produced alone.
 
 #include <algorithm>
@@ -27,13 +25,12 @@
 
 namespace hyperspace::sparse {
 
-/// One operand placed at (row_offset, col_offset) inside the stacked
-/// matrix. Row ranges of distinct blocks must be disjoint.
+/// One operand placed at row_offset inside the stacked matrix, sharing its
+/// column space. Row ranges of distinct blocks must be disjoint.
 template <typename T>
 struct Block {
   const Matrix<T>* m = nullptr;
   Index row_offset = 0;
-  Index col_offset = 0;
 };
 
 /// Assemble blocks into one nrows × ncols matrix (CSR, or DCSR when the
@@ -63,9 +60,8 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
   views.reserve(blocks.size());
   Index prev_end = 0;
   for (const auto& b : blocks) {
-    if (b.m == nullptr) throw std::invalid_argument("concat_blocks: null block");
     if (b.row_offset < prev_end || b.row_offset + b.m->nrows() > nrows ||
-        b.col_offset < 0 || b.col_offset + b.m->ncols() > ncols) {
+        b.m->ncols() > ncols) {
       throw std::invalid_argument("concat_blocks: block out of range");
     }
     prev_end = b.row_offset + b.m->nrows();
@@ -112,7 +108,7 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
         row_ptr[grow + 1] = static_cast<Index>(rc.size());
         std::size_t o = base + static_cast<std::size_t>(v.row_ptr[ri]);
         for (std::size_t j = 0; j < rc.size(); ++j, ++o) {
-          cols[o] = rc[j] + b.col_offset;
+          cols[o] = rc[j];
           vals[o] = rv[j];
         }
       }
@@ -144,7 +140,7 @@ Matrix<T> concat_blocks(Index nrows, Index ncols, std::vector<Block<T>> blocks,
       ++pos;
       std::size_t o = vbase + static_cast<std::size_t>(v.row_ptr[ri]);
       for (std::size_t j = 0; j < rc.size(); ++j, ++o) {
-        cols[o] = rc[j] + b.col_offset;
+        cols[o] = rc[j];
         vals[o] = rv[j];
       }
     }
@@ -173,67 +169,11 @@ Matrix<T> concat_rows(const std::vector<const Matrix<T>*>& parts,
       throw std::invalid_argument("concat_rows: column count mismatch");
     }
     ncols = p->ncols();
-    blocks.push_back({p, nrows, 0});
+    blocks.push_back({p, nrows});
     nrows += p->nrows();
   }
   return concat_blocks(nrows, ncols, std::move(blocks),
                        std::move(implicit_zero));
-}
-
-/// Block-diagonal embedding: rows AND columns offset per part, zeros
-/// elsewhere. blkdiag(A_1..A_K) ⊕.⊗ concat_rows(B_1..B_K) computes every
-/// A_q ⊕.⊗ B_q in one launch.
-template <typename T>
-Matrix<T> block_diag(const std::vector<const Matrix<T>*>& parts,
-                     T implicit_zero = T{}) {
-  Index nrows = 0;
-  Index ncols = 0;
-  std::vector<Block<T>> blocks;
-  blocks.reserve(parts.size());
-  for (const auto* p : parts) {
-    if (p == nullptr) throw std::invalid_argument("block_diag: null part");
-    blocks.push_back({p, nrows, ncols});
-    nrows += p->nrows();
-    ncols += p->ncols();
-  }
-  return concat_blocks(nrows, ncols, std::move(blocks),
-                       std::move(implicit_zero));
-}
-
-/// A block-diagonal stack of base matrices plus the offset bookkeeping the
-/// multi-base serving engine needs: base g occupies rows
-/// [row_offsets[g], row_offsets[g+1]) and columns
-/// [col_offsets[g], col_offsets[g+1]) of `stacked`. A query against base g
-/// coalesces by placing its lhs at column offset row_offsets[g] (lhs
-/// columns index base rows) and reading its result columns rebased by
-/// col_offsets[g].
-template <typename T>
-struct BaseStack {
-  Matrix<T> stacked;               ///< blkdiag(B_0 .. B_{G-1})
-  std::vector<Index> row_offsets;  ///< size G+1
-  std::vector<Index> col_offsets;  ///< size G+1
-};
-
-/// Stack bases block-diagonally, in the given order, returning the stack
-/// and both offset tables. Same deterministic parallel assembly as
-/// block_diag — this is block_diag with the offsets kept.
-template <typename T>
-BaseStack<T> stack_bases(std::span<const Matrix<T>* const> bases,
-                         T implicit_zero = T{}) {
-  BaseStack<T> s;
-  s.row_offsets.assign(1, 0);
-  s.col_offsets.assign(1, 0);
-  std::vector<Block<T>> blocks;
-  blocks.reserve(bases.size());
-  for (const auto* b : bases) {
-    if (b == nullptr) throw std::invalid_argument("stack_bases: null base");
-    blocks.push_back({b, s.row_offsets.back(), s.col_offsets.back()});
-    s.row_offsets.push_back(s.row_offsets.back() + b->nrows());
-    s.col_offsets.push_back(s.col_offsets.back() + b->ncols());
-  }
-  s.stacked = concat_blocks(s.row_offsets.back(), s.col_offsets.back(),
-                            std::move(blocks), std::move(implicit_zero));
-  return s;
 }
 
 /// Scatter — the inverse of concat_rows: split rows [offsets[q],

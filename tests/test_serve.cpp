@@ -1,10 +1,13 @@
-// Tests for the batched query serving engine (serve/): block-diagonal
+// Tests for the batched query serving engine (serve/): row-stacked
 // coalescing must be bit-identical to per-query execution for every
 // semiring family, mask sense mix, ragged batch shape, strategy, and
 // thread count — batching may never change an answer. Also covers the
 // executor's admission policy / ServeStats and the planner's batch router.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "db/planner.hpp"
 #include "helpers.hpp"
@@ -190,20 +193,9 @@ TEST(ServeBatch, ShapeMismatchesThrow) {
       std::invalid_argument);
 }
 
-TEST(MxmMaskedBatched, BadOffsetsThrow) {
-  const auto a = random_matrix<S>(4, 4, 8, 1, dbl_entry);
-  const auto m = random_matrix<S>(4, 4, 8, 2, dbl_entry);
-  const std::vector<MaskDesc> descs(2);
-  EXPECT_THROW(mxm_masked_batched<S>(a, a, m, std::vector<Index>{0, 2, 3},
-                                     descs),
-               std::invalid_argument);
-  EXPECT_THROW(mxm_masked_batched<S>(a, a, m, std::vector<Index>{0, 3, 2, 4},
-                                     std::vector<MaskDesc>(3)),
-               std::invalid_argument);
-}
-
 // --------------------------------------------------------------------------
-// Multi-base coalescing: queries against different bases share one launch.
+// Multi-base serving: a multi-base Executor runs each batch as one
+// coalesced launch per base it touches.
 
 /// Ragged queries against one (nrows × ncols) base: unmasked, plain- and
 /// complement-masked, select, and empty.
@@ -225,14 +217,42 @@ std::vector<serve::Query<Sr>> base_queries(Index nrows, Index ncols,
   return qs;
 }
 
+/// Submit every query to a synchronous multi-base Executor, flush once,
+/// and require each ticket to equal run_single against its own base, with
+/// exactly one kernel launch per base the batch touched.
+template <semiring::Semiring Sr>
+void expect_executor_matches_singles(
+    const std::vector<Matrix<typename Sr::value_type>>& bases,
+    const std::vector<serve::Query<Sr>>& qs,
+    const std::vector<std::size_t>& ids, MxmStrategy strategy) {
+  serve::Executor<Sr> ex(bases, {.strategy = strategy});
+  std::vector<std::size_t> tickets;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    tickets.push_back(ex.submit(0, ids[i], qs[i]));
+  }
+  ex.flush();
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(ex.wait(tickets[i]),
+              serve::run_single(bases[ids[i]], qs[i], strategy))
+        << "query=" << i << " base=" << ids[i];
+  }
+  std::vector<std::size_t> touched(ids);
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  const auto st = ex.stats();
+  EXPECT_EQ(st.queries, qs.size());
+  EXPECT_EQ(st.kernel_launches, touched.size());
+  EXPECT_EQ(st.launches_saved, qs.size() - touched.size());
+}
+
 template <semiring::Semiring Sr, typename Gen>
 void expect_multi_batched_equals_sequential(std::uint64_t seed, Gen&& entry) {
   using T = typename Sr::value_type;
-  // Bases of different shapes AND column spaces — the two-sided case.
-  const auto b0 = random_matrix<Sr>(48, 48, 280, seed, entry);
-  const auto b1 = random_matrix<Sr>(32, 20, 180, seed + 50, entry);
-  const auto b2 = random_matrix<Sr>(16, 64, 100, seed + 90, entry);
-  const std::vector<const Matrix<T>*> bases{&b0, &b1, &b2};
+  // Bases of different shapes AND column spaces.
+  std::vector<Matrix<T>> bases;
+  bases.push_back(random_matrix<Sr>(48, 48, 280, seed, entry));
+  bases.push_back(random_matrix<Sr>(32, 20, 180, seed + 50, entry));
+  bases.push_back(random_matrix<Sr>(16, 64, 100, seed + 90, entry));
 
   // Interleave per-base query mixes so no base's queries are contiguous.
   std::vector<serve::Query<Sr>> qs;
@@ -251,17 +271,8 @@ void expect_multi_batched_equals_sequential(std::uint64_t seed, Gen&& entry) {
 
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
-    serve::ServeStats stats;
-    const auto batched = serve::run_batch_multi<Sr>(
-        bases, qs, ids, MxmStrategy::kAuto, &stats);
-    ASSERT_EQ(batched.size(), qs.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i]))
-          << "threads=" << nt << " query=" << i << " base=" << ids[i];
-    }
-    EXPECT_EQ(stats.queries, qs.size());
-    EXPECT_EQ(stats.kernel_launches, 1u);
-    EXPECT_EQ(stats.launches_saved, qs.size() - 1);
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    expect_executor_matches_singles<Sr>(bases, qs, ids, MxmStrategy::kAuto);
   }
 }
 
@@ -284,9 +295,9 @@ TEST(ServeMultiBase, SetSemiringAllThreadCounts) {
 }
 
 TEST(ServeMultiBase, EveryStrategyBitIdentical) {
-  const auto b0 = random_matrix<S>(40, 40, 240, 71, dbl_entry);
-  const auto b1 = random_matrix<S>(24, 32, 150, 72, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0, &b1};
+  std::vector<Matrix<double>> bases;
+  bases.push_back(random_matrix<S>(40, 40, 240, 71, dbl_entry));
+  bases.push_back(random_matrix<S>(24, 32, 150, 72, dbl_entry));
   std::vector<serve::Query<S>> qs;
   std::vector<std::size_t> ids;
   auto q0 = base_queries<S>(40, 40, 73, dbl_entry);
@@ -299,41 +310,39 @@ TEST(ServeMultiBase, EveryStrategyBitIdentical) {
     qs.push_back(std::move(q));
     ids.push_back(1);
   }
-  // kGustavson included: both bases fit a dense scratch, and so does the
-  // stacked column space — the coalesced path, not the per-base fallback.
   for (const auto strat : {MxmStrategy::kGustavson, MxmStrategy::kHash,
                            MxmStrategy::kSorted}) {
-    const auto batched = serve::run_batch_multi<S>(bases, qs, ids, strat);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i], strat))
-          << "strategy=" << static_cast<int>(strat) << " query=" << i;
-    }
+    SCOPED_TRACE("strategy=" + std::to_string(static_cast<int>(strat)));
+    expect_executor_matches_singles<S>(bases, qs, ids, strat);
   }
 }
 
 TEST(ServeMultiBase, SingleBaseIdsDelegateToSingleBasePath) {
-  const auto b0 = random_matrix<S>(32, 32, 200, 81, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0};
+  // Every query routed at base 0 of a two-base executor: one group, so one
+  // launch, answer-identical to a plain single-base run_batch.
+  std::vector<Matrix<double>> bases;
+  bases.push_back(random_matrix<S>(32, 32, 200, 81, dbl_entry));
+  bases.push_back(random_matrix<S>(16, 16, 60, 83, dbl_entry));
   const auto qs = ragged_batch<S>(32, 82, dbl_entry);
-  const std::vector<std::size_t> ids(qs.size(), 0);
-  serve::ServeStats st;
-  const auto multi =
-      serve::run_batch_multi<S>(bases, qs, ids, MxmStrategy::kAuto, &st);
-  const auto single = serve::run_batch(b0, qs);
-  ASSERT_EQ(multi.size(), single.size());
+  serve::Executor<S> ex(bases);
+  std::vector<std::size_t> tickets;
+  for (const auto& q : qs) tickets.push_back(ex.submit(0, 0, q));
+  ex.flush();
+  const auto single = serve::run_batch(bases[0], qs);
+  ASSERT_EQ(single.size(), qs.size());
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(multi[i], single[i]) << "query=" << i;
+    EXPECT_EQ(ex.wait(tickets[i]), single[i]) << "query=" << i;
   }
-  EXPECT_EQ(st.kernel_launches, 1u);
+  EXPECT_EQ(ex.stats().kernel_launches, 1u);
 }
 
 TEST(ServeMultiBase, HypersparseBasesCoalesce) {
-  // Stacked column space far beyond the dense-accumulator cap: the
-  // coalesced product must route through the flat hash and stay exact.
+  // One base's column space far beyond the dense-accumulator cap: its
+  // launch must route through the flat hash and stay exact.
   const Index huge = Index{1} << 30;
-  const auto b0 = random_matrix<S>(64, huge, 120, 91, dbl_entry);
-  const auto b1 = random_matrix<S>(32, 32, 150, 92, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0, &b1};
+  std::vector<Matrix<double>> bases;
+  bases.push_back(random_matrix<S>(64, huge, 120, 91, dbl_entry));
+  bases.push_back(random_matrix<S>(32, 32, 150, 92, dbl_entry));
   std::vector<serve::Query<S>> qs;
   std::vector<std::size_t> ids;
   qs.push_back(serve::Query<S>::analytic(
@@ -344,22 +353,19 @@ TEST(ServeMultiBase, HypersparseBasesCoalesce) {
   ids.push_back(1);
   for (const int nt : {1, 8}) {
     ThreadGuard guard(nt);
-    const auto batched = serve::run_batch_multi<S>(bases, qs, ids);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i]))
-          << "query=" << i;
-    }
+    SCOPED_TRACE("threads=" + std::to_string(nt));
+    expect_executor_matches_singles<S>(bases, qs, ids, MxmStrategy::kAuto);
   }
 }
 
 TEST(ServeMultiBase, GustavsonTooWideForStackFallsBackPerBase) {
-  // Each base alone fits the dense scratch, the stack would not: forced
-  // kGustavson must fall back to one batch per base and stay exact.
+  // Each base alone fits the dense scratch, the two together would not:
+  // forced kGustavson serves each base in its own launch, and stays exact.
   const Index wide = (Index{1} << 23) + 8;  // 2 × wide > kMaxGustavsonWidth
-  const auto b0 = random_matrix<S>(16, wide, 60, 95, dbl_entry);
-  const auto b1 = random_matrix<S>(16, wide, 60, 96, dbl_entry);
   ASSERT_GT(2 * wide, kMaxGustavsonWidth);
-  const std::vector<const Matrix<double>*> bases{&b0, &b1};
+  std::vector<Matrix<double>> bases;
+  bases.push_back(random_matrix<S>(16, wide, 60, 95, dbl_entry));
+  bases.push_back(random_matrix<S>(16, wide, 60, 96, dbl_entry));
   std::vector<serve::Query<S>> qs;
   std::vector<std::size_t> ids;
   for (int i = 0; i < 4; ++i) {
@@ -367,89 +373,16 @@ TEST(ServeMultiBase, GustavsonTooWideForStackFallsBackPerBase) {
         2, 16, 8, 97 + static_cast<std::uint64_t>(i), dbl_entry)));
     ids.push_back(static_cast<std::size_t>(i % 2));
   }
-  serve::ServeStats st;
-  const auto batched = serve::run_batch_multi<S>(
-      bases, qs, ids, MxmStrategy::kGustavson, &st);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(batched[i], serve::run_single(*bases[ids[i]], qs[i],
-                                            MxmStrategy::kGustavson))
-        << "query=" << i;
-  }
-  EXPECT_EQ(st.kernel_launches, 2u);  // one per base, still batched within
-  EXPECT_EQ(st.queries, 4u);
+  expect_executor_matches_singles<S>(bases, qs, ids,
+                                     MxmStrategy::kGustavson);
 }
 
 TEST(ServeMultiBase, BadBaseIdsThrow) {
-  const auto b0 = random_matrix<S>(8, 8, 20, 99, dbl_entry);
-  const std::vector<const Matrix<double>*> bases{&b0};
-  const std::vector<serve::Query<S>> qs{
-      serve::Query<S>::analytic(random_matrix<S>(1, 8, 4, 100, dbl_entry))};
-  EXPECT_THROW(serve::run_batch_multi<S>(bases, qs,
-                                         std::vector<std::size_t>{1}),
-               std::invalid_argument);
-  EXPECT_THROW(serve::run_batch_multi<S>(bases, qs,
-                                         std::vector<std::size_t>{}),
-               std::invalid_argument);
-}
-
-TEST(MxmMaskedBatched, TwoSidedBlocksMatchPerBlockMasked) {
-  // The public two-sided kernel: stacked lhs against block_diag(B0, B1),
-  // with each block's mask kept in its base's LOCAL column space.
-  const Index n0 = 24, c0 = 20, n1 = 16, c1 = 40;
-  const auto b0 = random_matrix<S>(n0, c0, 120, 111, dbl_entry);
-  const auto b1 = random_matrix<S>(n1, c1, 140, 112, dbl_entry);
-  const auto a0 = random_matrix<S>(5, n0, 30, 113, dbl_entry);
-  const auto a1 = random_matrix<S>(4, n1, 24, 114, dbl_entry);
-  const auto m0 = random_matrix<S>(5, c0, 40, 115, dbl_entry);
-  const auto m1 = random_matrix<S>(4, c1, 30, 116, dbl_entry);
-
-  const auto stack =
-      sparse::stack_bases<double>(std::vector<const Matrix<double>*>{&b0, &b1});
-  // Stacked lhs: block q's columns shift into base q's row band.
-  const auto A = sparse::concat_blocks<double>(
-      9, stack.stacked.nrows(),
-      {{&a0, 0, stack.row_offsets[0]}, {&a1, 5, stack.row_offsets[1]}});
-  // Stacked mask: per-block rows, columns left LOCAL (ncols = widest).
-  std::vector<Triple<double>> mt;
-  for (const auto& t : m0.to_triples()) mt.push_back(t);
-  for (const auto& t : m1.to_triples()) mt.push_back({t.row + 5, t.col, t.val});
-  const auto M = Matrix<double>::from_canonical_triples(9, c1, mt);
-
-  const std::vector<Index> row_offsets{0, 5, 9};
-  const std::vector<Index> col_offsets{stack.col_offsets[0],
-                                       stack.col_offsets[1]};
-  const std::vector<MaskDesc> descs{{}, {.complement = true}};
-
-  for (const int nt : {1, 8}) {
-    ThreadGuard guard(nt);
-    MxmMaskStats ms;
-    const auto C = mxm_masked_batched<S>(A, stack.stacked, M, row_offsets,
-                                         col_offsets, descs, &ms);
-    const auto c0_want = mxm_masked<S>(a0, b0, m0, descs[0]);
-    const auto c1_want = mxm_masked<S>(a1, b1, m1, descs[1]);
-    // Expected stack: per-block results at their (row, col) offsets.
-    const auto want = sparse::concat_blocks<double>(
-        9, stack.col_offsets.back(),
-        {{&c0_want, 0, col_offsets[0]}, {&c1_want, 5, col_offsets[1]}});
-    EXPECT_EQ(C, want) << "threads=" << nt;
-    // Exact per-flop accounting survives the two-sided probe.
-    MxmMaskStats ms0, ms1;
-    (void)mxm_masked<S>(a0, b0, m0, descs[0], &ms0);
-    (void)mxm_masked<S>(a1, b1, m1, descs[1], &ms1);
-    EXPECT_EQ(ms.flops_kept, ms0.flops_kept + ms1.flops_kept);
-    EXPECT_EQ(ms.flops_skipped, ms0.flops_skipped + ms1.flops_skipped);
-  }
-}
-
-TEST(MxmMaskedBatched, TwoSidedBadOffsetsThrow) {
-  const auto a = random_matrix<S>(4, 4, 8, 121, dbl_entry);
-  const auto m = random_matrix<S>(4, 4, 8, 122, dbl_entry);
-  const std::vector<MaskDesc> descs(2);
-  // col_offsets size must match descs.
-  EXPECT_THROW(
-      mxm_masked_batched<S>(a, a, m, std::vector<Index>{0, 2, 4},
-                            std::vector<Index>{0}, descs),
-      std::invalid_argument);
+  serve::Executor<S> ex(random_matrix<S>(8, 8, 20, 99, dbl_entry));
+  const auto q =
+      serve::Query<S>::analytic(random_matrix<S>(1, 8, 4, 100, dbl_entry));
+  EXPECT_THROW(ex.submit(0, ex.n_bases(), q), std::out_of_range);
+  EXPECT_EQ(ex.pending(), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -656,37 +589,6 @@ TEST(PlannedBatch, RoutesCoalescesAndFallsBack) {
   EXPECT_EQ(ss.queries, 2u);
 }
 
-TEST(ArrayMultiBatch, MatchesSequentialAcrossBases) {
-  const auto base0 = entity_array({"a", "b", "c"}, {"x", "y"}, 71, 100);
-  const auto base1 = entity_array({"p", "q"}, {"u", "v", "w"}, 72, 100);
-  const std::vector<const array::AssocArray<S>*> bases{&base0, &base1};
-  std::vector<array::MultiBatchQuery<S>> qs;
-  qs.push_back({0, {entity_array({"k0"}, {"a", "c"}, 73, 100), std::nullopt, {}}});
-  qs.push_back({1, {entity_array({"k1"}, {"p", "q"}, 74, 100), std::nullopt, {}}});
-  qs.push_back({1,
-                {entity_array({"k2"}, {"q"}, 75, 100),
-                 entity_array({"k2"}, {"u", "w"}, 76, 100),
-                 {}}});
-  qs.push_back({0,
-                {entity_array({"k3"}, {"b"}, 77, 100),
-                 entity_array({"k3"}, {"y"}, 78, 100),
-                 {.complement = true}}});
-  serve::ServeStats st;
-  const auto rs = array::mtimes_batched_multi(bases, qs, &st);
-  ASSERT_EQ(rs.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto& base = *bases[qs[i].base];
-    const auto want =
-        qs[i].q.mask
-            ? array::mtimes_masked(qs[i].q.lhs, base, *qs[i].q.mask,
-                                   qs[i].q.desc)
-            : array::mtimes(qs[i].q.lhs, base);
-    EXPECT_EQ(rs[i], want) << "query=" << i;
-  }
-  EXPECT_EQ(st.kernel_launches, 1u);  // one launch across BOTH bases
-  EXPECT_EQ(st.launches_saved, 3u);
-}
-
 TEST(PlannedMultiBatch, RoutesCoalescesAndFallsBackPerBase) {
   const auto base0 = entity_array({"a", "b", "c"}, {"x", "y"}, 81, 100);
   const auto base1 = entity_array({"p", "q"}, {"u", "v"}, 82, 100);
@@ -714,11 +616,11 @@ TEST(PlannedMultiBatch, RoutesCoalescesAndFallsBackPerBase) {
                      : db::planned_mtimes(qs[i].q.lhs, base);
     EXPECT_EQ(rs[i], want) << "query=" << i;
   }
-  EXPECT_EQ(ps.batches, 1);
-  EXPECT_EQ(ps.queries_batched, 2);  // one per base, ONE cross-base launch
+  EXPECT_EQ(ps.batches, 2);          // one coalesced launch per base
+  EXPECT_EQ(ps.queries_batched, 2);  // one per base
   EXPECT_EQ(ps.queries_fallback, 1);
   EXPECT_EQ(ps.products_skipped, 1);
-  EXPECT_EQ(ss.kernel_launches, 1u);
+  EXPECT_EQ(ss.kernel_launches, 2u);
 }
 
 TEST(PlannedBatch, EmptyQueryListIsANoOp) {
