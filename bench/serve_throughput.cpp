@@ -98,12 +98,21 @@ std::vector<serve::Query<S>> make_queries(int kind, int k, Index n,
   return kind == 0 ? point_queries(k, n, seed) : mixed_queries(k, n, seed);
 }
 
+/// The pointer span run_batch takes; no operand is copied.
+std::vector<const serve::Query<S>*> ptrs_of(
+    const std::vector<serve::Query<S>>& qs) {
+  std::vector<const serve::Query<S>*> out;
+  out.reserve(qs.size());
+  for (const auto& q : qs) out.push_back(&q);
+  return out;
+}
+
 void print_preamble() {
   util::banner("Serving: batched vs per-query dispatch");
   const auto base = er_matrix(1024, 16384, 1);
   for (const int kind : {0, 1}) {
     const auto qs = make_queries(kind, 16, 1024, 2);
-    const auto batched = serve::run_batch(base, qs);
+    const auto batched = serve::run_batch<S>(base, ptrs_of(qs));
     bool same = true;
     for (std::size_t i = 0; i < qs.size(); ++i) {
       same &= batched[i] == serve::run_single(base, qs[i]);
@@ -136,12 +145,13 @@ void bm_serve(benchmark::State& state) {
   const Index n = 4096;
   const auto base = er_matrix(n, static_cast<std::size_t>(n) * 16, 1);
   const auto qs = make_queries(static_cast<int>(state.range(2)), k, n, 3);
+  const auto ptrs = ptrs_of(qs);
   const bool batched = state.range(1) == 0;
   serve::ServeStats stats;
   for (auto _ : state) {
     if (batched) {
-      benchmark::DoNotOptimize(
-          serve::run_batch(base, qs, sparse::MxmStrategy::kAuto, &stats));
+      benchmark::DoNotOptimize(serve::run_batch<S>(
+          base, ptrs, sparse::MxmStrategy::kAuto, &stats));
     } else {
       for (const auto& q : qs) {
         benchmark::DoNotOptimize(serve::run_single(base, q));
@@ -220,10 +230,10 @@ BENCHMARK(bm_serve_executor_async)->Arg(8)->Arg(64);
 
 void bm_serve_multibase(benchmark::State& state) {
   // K point queries spread round-robin over G=4 bases. Arg1 selects the
-  // dispatch: 1 = one coalesced batch per base (G launches — what a
-  // multi-base Executor runs per flush), 2 = per-query dispatch (K
-  // launches). The 1-vs-2 gap is single-base coalescing against the fixed
-  // per-launch cost.
+  // dispatch: 1 = one coalesced batch per base (G launches over pointer
+  // groups, no operand copied), 2 = per-query dispatch (K launches). The
+  // 1-vs-2 gap is single-base coalescing against the fixed per-launch
+  // cost.
   const int k = static_cast<int>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
   const Index n = 2048;
@@ -234,16 +244,16 @@ void bm_serve_multibase(benchmark::State& state) {
         er_matrix(n, static_cast<std::size_t>(n) * 16, 10 + g));
   }
   const auto qs = make_queries(0, k, n, 5);
+  std::vector<std::vector<const serve::Query<S>*>> groups(kBases);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    groups[i % kBases].push_back(&qs[i]);
+  }
   serve::ServeStats stats;
   for (auto _ : state) {
     if (mode == 1) {
       for (std::size_t g = 0; g < kBases; ++g) {
-        std::vector<serve::Query<S>> group;
-        for (std::size_t i = g; i < qs.size(); i += kBases) {
-          group.push_back(qs[i]);
-        }
-        benchmark::DoNotOptimize(serve::run_batch(
-            bases[g], group, sparse::MxmStrategy::kAuto, &stats));
+        benchmark::DoNotOptimize(serve::run_batch<S>(
+            bases[g], groups[g], sparse::MxmStrategy::kAuto, &stats));
       }
     } else {
       for (std::size_t i = 0; i < qs.size(); ++i) {

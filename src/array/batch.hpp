@@ -67,8 +67,11 @@ std::vector<AssocArray<S>> mtimes_batched(
       qs.push_back(serve::Query<S>::analytic(std::move(lhs)));
     }
   }
-  auto rs = serve::run_batch(base.matrix(), qs, sparse::MxmStrategy::kAuto,
-                             stats);
+  std::vector<const serve::Query<S>*> ptrs;
+  ptrs.reserve(qs.size());
+  for (const auto& q : qs) ptrs.push_back(&q);
+  auto rs = serve::run_batch<S>(base.matrix(), ptrs,
+                                sparse::MxmStrategy::kAuto, stats);
   std::vector<AssocArray<S>> out;
   out.reserve(rs.size());
   for (std::size_t i = 0; i < rs.size(); ++i) {

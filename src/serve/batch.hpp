@@ -36,7 +36,6 @@
 
 #include "semiring/concepts.hpp"
 #include "sparse/block_diag.hpp"
-#include "sparse/delta.hpp"
 #include "sparse/masked.hpp"
 #include "sparse/matrix.hpp"
 #include "sparse/mxm.hpp"
@@ -303,8 +302,8 @@ std::vector<sparse::Matrix<typename S::value_type>> run_stacked(
 }  // namespace detail
 
 /// Reference single-query execution — exactly what a batch must reproduce.
-/// The BaseView overload is the core; a delta snapshot's patched rows and
-/// a plain matrix serve through identical code.
+/// The BaseView overload is the core: a delta snapshot's patched rows
+/// (`snap.base_view()`) and a plain matrix serve through identical code.
 template <semiring::Semiring S>
 sparse::Matrix<typename S::value_type> run_single(
     const sparse::detail::BaseView<typename S::value_type>& base,
@@ -345,20 +344,11 @@ sparse::Matrix<typename S::value_type> run_single(
   return run_single<S>(bv, q, strategy, ms);
 }
 
-template <semiring::Semiring S>
-sparse::Matrix<typename S::value_type> run_single(
-    const sparse::DeltaSnapshot<typename S::value_type>& snap,
-    const Query<S>& q,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    sparse::MxmMaskStats* ms = nullptr) {
-  return run_single<S>(snap.base_view(), q, strategy, ms);
-}
-
 /// Execute every query against `base` as one coalesced launch; results are
 /// returned in submission order, each bit-identical to run_single's. The
-/// BaseView span-of-pointers overload is the core — callers that route a
-/// larger query list (the executor's per-base groups, db::planned_batch via
-/// the array layer) coalesce a subset without copying any operand, and a
+/// BaseView overload is the core, and queries arrive as a span of pointers
+/// so callers (the executor's admitted batch, db::planned_batch via the
+/// array layer) coalesce what they hold without copying any operand; a
 /// delta snapshot's patched base serves through the identical path.
 template <semiring::Semiring S>
 std::vector<sparse::Matrix<typename S::value_type>> run_batch(
@@ -415,41 +405,6 @@ std::vector<sparse::Matrix<typename S::value_type>> run_batch(
     ServeStats* stats = nullptr) {
   const sparse::detail::BaseView<typename S::value_type> bv(base);
   return run_batch<S>(bv, queries, strategy, stats);
-}
-
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch(
-    const sparse::DeltaSnapshot<typename S::value_type>& snap,
-    std::span<const Query<S>* const> queries,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  auto out = run_batch<S>(snap.base_view(), queries, strategy, stats);
-  if (stats) stats->epoch = std::max(stats->epoch, snap.epoch);
-  return out;
-}
-
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch(
-    const sparse::Matrix<typename S::value_type>& base,
-    const std::vector<Query<S>>& queries,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  std::vector<const Query<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const auto& q : queries) ptrs.push_back(&q);
-  return run_batch<S>(base, ptrs, strategy, stats);
-}
-
-template <semiring::Semiring S>
-std::vector<sparse::Matrix<typename S::value_type>> run_batch(
-    const sparse::DeltaSnapshot<typename S::value_type>& snap,
-    const std::vector<Query<S>>& queries,
-    sparse::MxmStrategy strategy = sparse::MxmStrategy::kAuto,
-    ServeStats* stats = nullptr) {
-  std::vector<const Query<S>*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const auto& q : queries) ptrs.push_back(&q);
-  return run_batch<S>(snap, ptrs, strategy, stats);
 }
 
 }  // namespace hyperspace::serve

@@ -119,7 +119,6 @@ class ResultCache {
   /// change must never alias a key.
   struct Key {
     std::uint64_t epoch = 0;      ///< base epoch the answer is valid at
-    std::size_t base = 0;         ///< base index within the engine
     sparse::Fingerprint lhs;      ///< lhs content fingerprint
     bool has_mask = false;
     sparse::Fingerprint mask;     ///< mask content fingerprint (if any)
@@ -160,14 +159,13 @@ class ResultCache {
     return !q.carry && !q.no_cache;
   }
 
-  /// Build the key for `q` against base `base` at `epoch`. O(nnz(lhs) +
-  /// nnz(mask)) — the fingerprint walks, same order of work as the
-  /// executor's exact admission flop count.
-  static Key make_key(std::uint64_t epoch, std::size_t base,
-                      const Query<S>& q, unsigned char strategy) {
+  /// Build the key for `q` against the engine's base at `epoch`.
+  /// O(nnz(lhs) + nnz(mask)) — the fingerprint walks, same order of work
+  /// as the executor's exact admission flop count.
+  static Key make_key(std::uint64_t epoch, const Query<S>& q,
+                      unsigned char strategy) {
     Key k;
     k.epoch = epoch;
-    k.base = base;
     k.lhs = sparse::fingerprint(q.lhs);
     if (q.mask) {
       k.has_mask = true;

@@ -1,11 +1,11 @@
 #pragma once
 // Executor — the serving loop's front door over run_batch.
 //
-// Queries are submitted against one of several base matrices the executor
-// owns, tagged with a tenant id, and queued per tenant. A flush drains the
+// Queries are submitted against the one base matrix the executor owns,
+// tagged with a tenant id, and queued per tenant. A flush drains the
 // queues into coalesced batches under the admission policy and runs each
-// batch as one coalesced launch per base it touches (run_batch against
-// that base's pinned snapshot; a single-base batch is one launch):
+// batch as one coalesced launch (run_batch against the base's pinned
+// snapshot):
 //
 //   * max_batch_queries  — close a batch after this many queries (bounds
 //     result latency and stacked-operand size);
@@ -29,12 +29,13 @@
 // deque. shutdown() (also run by the destructor) retires the flush
 // thread and, by default, drains every queued-but-unflushed ticket.
 //
-// Bases are updatable (sparse/delta.hpp): mutate(tenant, base, ops)
-// applies an UpdateBatch to a base's delta and publishes the next epoch.
-// Every flushed batch pins the snapshots of the bases it touches FIRST,
-// then runs — so an in-flight batch finishes on the epoch it started on
-// while later submits see the new one, and a query's answer is always
-// bit-identical to a from-scratch rebuild of its base at that epoch.
+// The base is updatable (sparse/delta.hpp): mutate(tenant, ops) applies
+// an UpdateBatch to the base's delta and publishes the next epoch. Every
+// flushed batch pins the base's snapshot FIRST, then runs — so an
+// in-flight batch finishes on the epoch it started on while later submits
+// see the new one, and a query's answer is always bit-identical to a
+// from-scratch rebuild of the base at that epoch. Several bases are
+// several executors (or one sharded Router, serve/router.hpp).
 //
 // Whatever the mode, batch boundaries, tenant mix, flush timing, and
 // thread count NEVER change an answer: every result is bit-identical to
@@ -52,12 +53,10 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "serve/admission.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/service.hpp"
@@ -102,76 +101,48 @@ class Executor : public Service<S> {
     bool async = false;
     int flush_queue_depth = 64;  ///< async: flush when this many are queued
     std::chrono::milliseconds flush_interval{2};  ///< async: flush deadline
-    /// Adaptive admission (serve/admission.hpp): when set, every flushed
-    /// batch's exact (flops, latency) sample drives `max_batch_flops` and
-    /// `flush_queue_depth` toward this per-batch latency target. Zero (the
-    /// default) keeps both limits static. Results are unaffected either
-    /// way — admission only re-slices the queue.
-    std::chrono::microseconds latency_target{0};
-    /// Adaptive admission steers by the p95 of observed ns-per-flop
-    /// instead of the EWMA mean (see AdmissionController::Config::use_p95).
-    /// Only meaningful with latency_target set.
-    bool admission_use_p95 = false;
     /// Draw a trace id at submit for queries that arrive without one
     /// (serve/trace.hpp sampling). The sharded router disables this on its
     /// shard executors so each top-level query is sampled exactly once, at
     /// the router.
     bool trace_sampling = true;
     /// Delta-base tuning (buffer size, cascade fanout, compaction
-    /// threshold, background compactor). Applied to every base.
+    /// threshold, background compactor).
     sparse::DeltaConfig delta{};
     /// Result-cache byte budget (serve/cache.hpp); 0 (default) disables
-    /// caching. Entries are keyed per base epoch, so mutate() invalidates
-    /// without flushing.
+    /// caching. Entries are keyed on the base epoch, so mutate()
+    /// invalidates without flushing.
     std::size_t cache_bytes = 0;
     /// Cache empty answers too (negative entries). Only meaningful with
     /// cache_bytes > 0.
     bool cache_negative = true;
-    /// Metric-name infix for this executor's admission gauges:
-    /// "serve.admission.<scope>max_batch_flops" etc. Empty (default) for
-    /// a standalone executor; the sharded router sets "shard<N>." on each
-    /// shard executor so the N gauge sets never collide.
-    std::string gauge_scope;
   };
 
+  /// The ctor wraps `base` in a DeltaBase, which warms the view cache on
+  /// this thread (submit() computes admission flops and the flush thread
+  /// runs kernels concurrently, so the lazily materialized row-id cache
+  /// must not be built under a race) and publishes the epoch-0 snapshot.
   explicit Executor(sparse::Matrix<T> base, Config cfg = {})
-      : Executor(make_one(std::move(base)), cfg) {}
-
-  explicit Executor(std::vector<sparse::Matrix<T>> bases, Config cfg = {})
-      : cfg_(cfg), cache_({cfg.cache_bytes, cfg.cache_negative}) {
-    if (bases.empty()) {
-      throw std::invalid_argument("Executor: at least one base required");
-    }
+      : base_(std::move(base), cfg.delta),
+        cfg_(cfg),
+        cache_({cfg.cache_bytes, cfg.cache_negative}) {
     if (cfg_.max_batch_queries < 1) {
       throw std::invalid_argument("Executor: max_batch_queries must be >= 1");
     }
     if (cfg_.async && cfg_.flush_queue_depth < 1) {
       throw std::invalid_argument("Executor: flush_queue_depth must be >= 1");
     }
-    if (cfg_.strategy == sparse::MxmStrategy::kGustavson) {
+    if (cfg_.async && cfg_.flush_interval.count() <= 0) {
+      // A zero deadline makes the flush loop's wait return at once, so the
+      // flusher would spin on mu_ while nothing is queued.
+      throw std::invalid_argument("Executor: flush_interval must be > 0");
+    }
+    if (cfg_.strategy == sparse::MxmStrategy::kGustavson &&
+        base_.ncols() > sparse::kMaxGustavsonWidth) {
       // Fail fast: a base too wide for the dense scratch would otherwise
       // only surface as a kernel throw at flush time.
-      for (const auto& b : bases) {
-        if (b.ncols() > sparse::kMaxGustavsonWidth) {
-          throw std::invalid_argument(
-              "Executor: base too wide for the kGustavson dense scratch");
-        }
-      }
-    }
-    live_ = {cfg_.max_batch_flops, cfg_.flush_queue_depth};
-    if (cfg_.latency_target.count() > 0) {
-      ctrl_ = AdmissionController({.latency_target = cfg_.latency_target,
-                                   .use_p95 = cfg_.admission_use_p95},
-                                  live_);
-    }
-    // Wrap every base in a DeltaBase: the ctor warms the view cache on
-    // this thread (submit() computes admission flops and the flush thread
-    // runs kernels concurrently, so the lazily materialized row-id cache
-    // must not be built under a race) and publishes the epoch-0 snapshot.
-    bases_.reserve(bases.size());
-    for (auto& b : bases) {
-      bases_.push_back(std::make_unique<sparse::DeltaBase<S>>(std::move(b),
-                                                              cfg_.delta));
+      throw std::invalid_argument(
+          "Executor: base too wide for the kGustavson dense scratch");
     }
     if (cfg_.async) {
       flusher_running_ = true;
@@ -183,19 +154,12 @@ class Executor : public Service<S> {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Base `i`'s compacted main matrix (the delta is not folded in). The
+  /// The base's compacted main matrix (the delta is not folded in). The
   /// reference is valid until the base's next compaction.
-  const sparse::Matrix<T>& base(std::size_t i = 0) const {
-    return bases_.at(i)->main_matrix();
-  }
-  /// Base `i`'s delta wrapper — snapshot()/epoch()/compact() live there.
-  sparse::DeltaBase<S>& delta_base(std::size_t i = 0) {
-    return *bases_.at(i);
-  }
-  const sparse::DeltaBase<S>& delta_base(std::size_t i = 0) const {
-    return *bases_.at(i);
-  }
-  std::size_t n_bases() const { return bases_.size(); }
+  const sparse::Matrix<T>& base() const { return base_.main_matrix(); }
+  /// The base's delta wrapper — snapshot()/epoch()/compact() live there.
+  sparse::DeltaBase<S>& delta_base() { return base_; }
+  const sparse::DeltaBase<S>& delta_base() const { return base_; }
   const Config& config() const { return cfg_; }
 
   /// Aggregate accounting snapshot (safe against a concurrent flush).
@@ -204,12 +168,8 @@ class Executor : public Service<S> {
     return stats_;
   }
 
-  /// Base 0's current published epoch (0 = never mutated).
-  std::uint64_t epoch() const override { return bases_.front()->epoch(); }
-  /// Base `i`'s current published epoch.
-  std::uint64_t base_epoch(std::size_t i) const {
-    return bases_.at(i)->epoch();
-  }
+  /// The base's current published epoch (0 = never mutated).
+  std::uint64_t epoch() const override { return base_.epoch(); }
 
   /// Per-tenant accounting snapshot; default-constructed for an unknown id.
   TenantStats tenant_stats(TenantId tenant) const {
@@ -233,24 +193,14 @@ class Executor : public Service<S> {
     return n_pending_;
   }
 
-  /// The admission limits currently in force. Equal to the configured
-  /// statics unless `latency_target` enabled the adaptive controller.
-  AdmissionController::Limits admission_limits() const {
-    std::lock_guard lock(mu_);
-    return live_;
-  }
-
   /// Result-cache accounting (zeroes when the cache is disabled).
   typename ResultCache<S>::Stats cache_stats() const { return cache_.stats(); }
 
-  /// Enqueue a query for `tenant` against base `base`; returns the ticket
-  /// redeemable via wait()/poll(). Shape mismatches throw here — at
-  /// admission, not at flush.
-  std::size_t submit(TenantId tenant, std::size_t base, Query<S> q) {
-    if (base >= bases_.size()) {
-      throw std::out_of_range("Executor: unknown base index");
-    }
-    detail::validate_query<S>(bases_[base]->nrows(), bases_[base]->ncols(), q);
+  /// Enqueue a query for `tenant`; returns the ticket redeemable via
+  /// wait()/poll(). Shape mismatches throw here — at admission, not at
+  /// flush.
+  std::size_t submit(TenantId tenant, Query<S> q) override {
+    detail::validate_query<S>(base_.nrows(), base_.ncols(), q);
     auto& tracer = trace::Tracer::instance();
     if (cfg_.trace_sampling && q.trace == 0) q.trace = tracer.sample();
     trace::ScopedSpan span(trace::Stage::kSubmit, q.trace, q.trace != 0);
@@ -266,11 +216,9 @@ class Executor : public Service<S> {
       trace::ScopedSpan probe_span(trace::Stage::kCacheProbe, q.trace,
                                    q.trace != 0);
       auto key = ResultCache<S>::make_key(
-          bases_[base]->epoch(), base, q,
-          static_cast<unsigned char>(cfg_.strategy));
-      auto hit = cache_.probe(key, [this](const auto& k) {
-        return k.epoch != bases_[k.base]->epoch();
-      });
+          base_.epoch(), q, static_cast<unsigned char>(cfg_.strategy));
+      auto hit = cache_.probe(
+          key, [this](const auto& k) { return k.epoch != base_.epoch(); });
       probe_span.args(hit ? 1 : 0, hit ? hit->bytes : 0);
       if (hit) {
         const std::uint64_t tr2 = q.trace;
@@ -288,7 +236,7 @@ class Executor : public Service<S> {
       }
       ckey = std::move(key);  // install at settle, at the served epoch
     }
-    const std::uint64_t flops = query_flops(base, q);
+    const std::uint64_t flops = query_flops(q);
     const auto rows = static_cast<std::uint64_t>(q.lhs.nrows());
     span.args(flops, rows);
     // One timestamp serves both the tenant-queue span and the query
@@ -303,52 +251,41 @@ class Executor : public Service<S> {
     const std::size_t ticket = results_.size();
     results_.emplace_back();
     traces_.push_back(tr);
-    queues_[tenant].push_back(Pending{std::move(q), base, ticket, flops, rows,
+    queues_[tenant].push_back(Pending{std::move(q), ticket, flops, rows,
                                       tenant, tr, enq_ns, std::move(ckey)});
     ++n_pending_;
     (void)tstats_[tenant];  // tenant becomes visible on first submit
     if (queues_[tenant].back().ckey) ++tstats_[tenant].cache_misses;
     const bool trigger =
         flusher_running_ &&
-        n_pending_ >= static_cast<std::size_t>(live_.flush_queue_depth);
+        n_pending_ >= static_cast<std::size_t>(cfg_.flush_queue_depth);
     lock.unlock();
     if (trigger) queue_cv_.notify_all();
     return ticket;
   }
 
-  std::size_t submit(TenantId tenant, Query<S> q) override {
-    return submit(tenant, 0, std::move(q));
-  }
-  std::size_t submit(Query<S> q) { return submit(0, 0, std::move(q)); }
+  using Service<S>::submit;  // submit(q) → anonymous tenant
 
-  /// Apply `ops` to base `base_idx` (in order, last write per key wins)
-  /// and return the epoch the batch created. Publication is atomic:
-  /// batches flushed before this call serve the old epoch, batches
-  /// flushed after serve the new one, and a flush racing this call gets
-  /// exactly one of the two — never a half-applied batch.
-  std::uint64_t mutate(TenantId tenant, std::size_t base_idx,
-                       const sparse::UpdateBatch<T>& ops) {
-    if (base_idx >= bases_.size()) {
-      throw std::out_of_range("Executor: unknown base index");
-    }
+  /// Apply `ops` to the base (in order, last write per key wins) and
+  /// return the epoch the batch created. Publication is atomic: batches
+  /// flushed before this call serve the old epoch, batches flushed after
+  /// serve the new one, and a flush racing this call gets exactly one of
+  /// the two — never a half-applied batch.
+  std::uint64_t mutate(TenantId tenant,
+                       const sparse::UpdateBatch<T>& ops) override {
     {
       std::lock_guard lock(mu_);
       if (stopping_) {
         throw std::runtime_error("Executor: mutate after shutdown");
       }
     }
-    const std::uint64_t e = bases_[base_idx]->mutate(ops);
+    const std::uint64_t e = base_.mutate(ops);
     {
       std::lock_guard lock(mu_);
       ++stats_.mutations;
       ++tstats_[tenant].mutations;
     }
     return e;
-  }
-
-  std::uint64_t mutate(TenantId tenant,
-                       const sparse::UpdateBatch<T>& ops) override {
-    return mutate(tenant, std::size_t{0}, ops);
   }
   using Service<S>::mutate;  // mutate(ops) → anonymous tenant
 
@@ -465,7 +402,6 @@ class Executor : public Service<S> {
  private:
   struct Pending {
     Query<S> q;
-    std::size_t base = 0;
     std::size_t ticket = 0;
     std::uint64_t flops = 0;
     std::uint64_t rows = 0;
@@ -483,18 +419,12 @@ class Executor : public Service<S> {
     if (it != failed_.end()) std::rethrow_exception(it->second);
   }
 
-  static std::vector<sparse::Matrix<T>> make_one(sparse::Matrix<T> base) {
-    std::vector<sparse::Matrix<T>> v;
-    v.push_back(std::move(base));
-    return v;
-  }
-
-  /// Exact flop count of q against base `bi` at its current epoch: Σ over
+  /// Exact flop count of q against the base at its current epoch: Σ over
   /// lhs entries of the matching base-row length (delta overlay included).
   /// O(nnz(lhs) · log) — cheap next to the product itself, and what makes
   /// the flop-budget admission exact.
-  std::uint64_t query_flops(std::size_t bi, const Query<S>& q) const {
-    const auto snap = bases_[bi]->snapshot();
+  std::uint64_t query_flops(const Query<S>& q) const {
+    const auto snap = base_.snapshot();
     const auto bv = snap->base_view();
     const auto a = q.lhs.view();
     std::uint64_t flops = 0;
@@ -541,7 +471,7 @@ class Executor : public Service<S> {
               used[t] + head.flops > cfg_.tenant_flop_quota;
           if (over_quota) quota_deferred[t] = true;
           if (over_quota ||
-              batch_flops + head.flops > live_.max_batch_flops) {
+              batch_flops + head.flops > cfg_.max_batch_flops) {
             continue;
           }
         }
@@ -613,58 +543,30 @@ class Executor : public Service<S> {
     }
   }
 
-  /// Group the batch per base, in ascending base id, and run each group as
-  /// one coalesced launch against the base's pinned snapshot; a
-  /// single-base batch is one group. Groups are pointer spans, so no
-  /// operand is copied. Results come back in batch order.
-  std::vector<sparse::Matrix<T>> run_per_base(
-      const std::vector<Pending>& batch,
-      const std::vector<std::shared_ptr<const sparse::DeltaSnapshot<T>>>&
-          snaps,
-      ServeStats* ss) const {
-    std::vector<sparse::Matrix<T>> out(batch.size());
-    std::vector<const Query<S>*> group;
-    std::vector<std::size_t> where;
-    group.reserve(batch.size());
-    where.reserve(batch.size());
-    for (std::size_t id = 0; id < snaps.size(); ++id) {
-      if (!snaps[id]) continue;  // no query of this batch targets base id
-      group.clear();
-      where.clear();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batch[i].base == id) {
-          group.push_back(&batch[i].q);
-          where.push_back(i);
-        }
-      }
-      auto rs = run_batch<S>(*snaps[id], group, cfg_.strategy, ss);
-      for (std::size_t k = 0; k < where.size(); ++k) {
-        out[where[k]] = std::move(rs[k]);
-      }
-    }
-    return out;
-  }
-
+  /// Run one admitted batch as a single coalesced launch against the
+  /// pinned snapshot (pointer spans, so no operand is copied), then settle
+  /// every ticket. Results come back in batch order.
   void run_admitted(const std::vector<Pending>& batch) {
     std::uint64_t batch_flops = 0;
-    for (const auto& p : batch) batch_flops += p.flops;
-    // Pin the involved bases' snapshots FIRST: the whole batch runs on
-    // the epochs captured here even if mutations land mid-run, and the
-    // shared_ptrs keep those epochs alive past any concurrent compaction.
-    std::vector<std::shared_ptr<const sparse::DeltaSnapshot<T>>> snaps(
-        bases_.size());
+    std::vector<const Query<S>*> queries;
+    queries.reserve(batch.size());
     for (const auto& p : batch) {
-      if (!snaps[p.base]) snaps[p.base] = bases_[p.base]->snapshot();
+      batch_flops += p.flops;
+      queries.push_back(&p.q);
     }
+    // Pin the base's snapshot FIRST: the whole batch runs on the epoch
+    // captured here even if mutations land mid-run, and the shared_ptr
+    // keeps that epoch alive past any concurrent compaction.
+    const auto snap = base_.snapshot();
     const bool telemetry = util::metrics::enabled();
-    const bool timed = ctrl_.enabled() || telemetry;
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+    const auto t0 = telemetry ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
     trace::ScopedSpan kernel_span(trace::Stage::kKernel, 0,
                                   trace::Tracer::instance().enabled());
     kernel_span.args(batch_flops, batch.size());
     ServeStats ss;
-    auto rs = run_per_base(batch, snaps, &ss);
+    auto rs = run_batch<S>(snap->base_view(), queries, cfg_.strategy, &ss);
+    ss.epoch = snap->epoch;
     kernel_span.finish();
     if (cache_.enabled()) {
       // Install every cacheable answer under the epoch the batch actually
@@ -674,51 +576,21 @@ class Executor : public Service<S> {
       for (std::size_t k = 0; k < batch.size(); ++k) {
         if (!batch[k].ckey) continue;
         auto key = *batch[k].ckey;
-        key.epoch = snaps[batch[k].base]->epoch;
+        key.epoch = snap->epoch;
         cache_.install(key, rs[k]);
       }
     }
-    const auto dt = timed ? std::chrono::steady_clock::now() - t0
-                          : std::chrono::steady_clock::duration{};
     if (telemetry) {
       namespace hm = util::metrics;
       static auto& h_batch =
           hm::Registry::instance().histogram("serve.batch_ns");
       h_batch.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
     }
     {
       std::lock_guard lock(mu_);
-      if (ctrl_.enabled()) {
-        // One exact (flops, latency) sample per flushed batch; the derived
-        // limits govern the NEXT admission round.
-        ctrl_.observe(batch_flops,
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(dt),
-                      batch.size());
-        live_ = ctrl_.limits();
-      }
-      if (telemetry) {
-        // Admission state as gauges: a stuck controller (samples pinned at
-        // 0, limits never moving) is observable instead of silent. Each
-        // executor binds its OWN gauge set, namespaced by cfg_.gauge_scope
-        // ("serve.admission.shard<N>.*" under the sharded router), so N
-        // shard executors export N distinct sets instead of last-batch-
-        // wins on one. Bound lazily under mu_, once per executor.
-        namespace hm = util::metrics;
-        if (g_adm_flops_ == nullptr) {
-          const std::string prefix = "serve.admission." + cfg_.gauge_scope;
-          auto& reg = hm::Registry::instance();
-          g_adm_flops_ = &reg.gauge(prefix + "max_batch_flops",
-                                    hm::Stability::kTiming);
-          g_adm_depth_ = &reg.gauge(prefix + "flush_queue_depth",
-                                    hm::Stability::kTiming);
-          g_adm_samples_ =
-              &reg.gauge(prefix + "samples", hm::Stability::kTiming);
-        }
-        g_adm_flops_->set(static_cast<double>(live_.max_batch_flops));
-        g_adm_depth_->set(static_cast<double>(live_.flush_queue_depth));
-        g_adm_samples_->set(static_cast<double>(ctrl_.samples()));
-      }
       const std::uint64_t settle_ns =
           telemetry ? trace::Tracer::instance().now_ns() : 0;
       std::map<TenantId, bool> seen;
@@ -752,7 +624,7 @@ class Executor : public Service<S> {
     while (!stopping_) {
       queue_cv_.wait_for(lock, cfg_.flush_interval, [&] {
         return stopping_ || force_flush_ ||
-               n_pending_ >= static_cast<std::size_t>(live_.flush_queue_depth);
+               n_pending_ >= static_cast<std::size_t>(cfg_.flush_queue_depth);
       });
       if (stopping_) break;
       force_flush_ = false;
@@ -770,17 +642,9 @@ class Executor : public Service<S> {
     done_cv_.notify_all();
   }
 
-  std::vector<std::unique_ptr<sparse::DeltaBase<S>>> bases_;
+  sparse::DeltaBase<S> base_;
   Config cfg_;
-  AdmissionController ctrl_;      ///< adaptive admission (off by default)
-  AdmissionController::Limits live_{};  ///< limits in force (under mu_)
-  ResultCache<S> cache_;          ///< internally locked; off by default
-  /// This executor's namespaced admission gauges, bound lazily under mu_
-  /// on the first telemetered batch (registry entries are process-
-  /// lifetime, so the pointers never dangle).
-  util::metrics::Gauge* g_adm_flops_ = nullptr;
-  util::metrics::Gauge* g_adm_depth_ = nullptr;
-  util::metrics::Gauge* g_adm_samples_ = nullptr;
+  ResultCache<S> cache_;  ///< internally locked; off by default
 
   mutable std::mutex mu_;       ///< queues, results, stats, lifecycle flags
   std::mutex flush_mu_;         ///< serializes whole-queue drains

@@ -46,7 +46,6 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,14 +102,12 @@ class Router : public Service<S> {
     // router-level epoch over the gathered final answer: shard-local
     // caches would key on shard epochs a logical query never observes, so
     // they are forced off — which is also what makes straddling chain
-    // stages bypass the cache per-stage. Each shard executor gets its own
-    // admission-gauge namespace so N shards export N distinct gauge sets.
+    // stages bypass the cache per-stage.
     auto ecfg = cfg_.executor;
     ecfg.trace_sampling = false;
     ecfg.cache_bytes = 0;
     execs_.reserve(map_.n_shards());
     for (std::size_t s = 0; s < map_.n_shards(); ++s) {
-      ecfg.gauge_scope = "shard" + std::to_string(s) + ".";
       execs_.push_back(
           std::make_unique<Executor<S>>(map_.take_shard(s), ecfg));
     }
@@ -150,7 +147,7 @@ class Router : public Service<S> {
     auto& tracer = trace::Tracer::instance();
     if (q.trace == 0) q.trace = tracer.sample();
     // Result-cache probe, keyed on the router-level epoch (the count of
-    // logical mutation batches — coarser than the executor's per-base
+    // logical mutation batches — coarser than the shard executors' own
     // epochs: ANY mutation invalidates, because the router cannot see
     // which shards a cached answer depended on). A hit settles the chain
     // before it exists: no scatter, no sub-queries, no merge.
@@ -164,7 +161,7 @@ class Router : public Service<S> {
         cur = rstats_.epoch;
       }
       auto key = ResultCache<S>::make_key(
-          cur, 0, q, static_cast<unsigned char>(cfg_.executor.strategy));
+          cur, q, static_cast<unsigned char>(cfg_.executor.strategy));
       auto hit =
           cache_.probe(key, [cur](const auto& k) { return k.epoch != cur; });
       probe_span.args(hit ? 1 : 0, hit ? hit->bytes : 0);
@@ -259,7 +256,7 @@ class Router : public Service<S> {
     }
     for (std::size_t s = 0; s < slices.size(); ++s) {
       if (!slices[s].empty()) {
-        execs_[s]->mutate(tenant, std::size_t{0}, slices[s]);
+        execs_[s]->mutate(tenant, slices[s]);
       }
     }
     std::lock_guard lock(rmu_);
@@ -556,7 +553,7 @@ class Router : public Service<S> {
       }
     }
     ch.stage_ticket =
-        execs_[ch.shards[ch.stage]]->submit(ch.tenant, 0, std::move(sq));
+        execs_[ch.shards[ch.stage]]->submit(ch.tenant, std::move(sq));
     ++rstats_.stage_submits;
   }
 

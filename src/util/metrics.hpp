@@ -14,17 +14,15 @@
 //     registered under a `Stability` class: `kInvariant` values (flops,
 //     queries, kept/skipped, probe selections) are identical for any
 //     thread count and may be asserted exactly in tests; `kTiming` values
-//     (latencies, queue depths, adaptive limits) are wall-clock artifacts
-//     and may only be bounded. Registering the same name under a different
+//     (latencies, queue depths) are wall-clock artifacts and may only be
+//     bounded. Registering the same name under a different
 //     class (or kind) throws — the segregation is enforced, not advisory.
 //     Histograms are always `kTiming`. Export surfaces render the two
 //     classes in separate sections so downstream tooling cannot confuse a
 //     measurement with a fact.
 //  3. **Telemetry observes, it never steers.** Nothing in this header
 //     reads a metric to make a decision, so results are bit-identical
-//     with telemetry on, off, or compiled out. (The one sanctioned
-//     consumer is the admission controller, which re-slices batches —
-//     batching never changes answers, per the serve-layer contract.)
+//     with telemetry on, off, or compiled out.
 //  4. **Off means off.** Compile with `HYPERSPACE_NO_TELEMETRY` and every
 //     record path folds to nothing; at runtime `set_enabled(false)`
 //     reduces a record to one relaxed load of a read-mostly flag.
@@ -151,8 +149,7 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-// ---- log-bucketed histogram geometry (shared with the admission
-// controller, which keeps a plain copyable bucket array of its own) ----
+// ---- log-bucketed histogram geometry ----
 
 inline constexpr unsigned kSubBits = 4;
 inline constexpr std::uint64_t kSubBuckets = std::uint64_t{1} << kSubBits;

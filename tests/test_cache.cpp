@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -129,7 +128,7 @@ TEST(ResultCache, DisabledCacheNeverHitsOrStores) {
   serve::ResultCache<S> cache;  // max_bytes = 0
   EXPECT_FALSE(cache.enabled());
   const auto q = one_row_query(16, 1);
-  const auto k = serve::ResultCache<S>::make_key(0, 0, q, 0);
+  const auto k = serve::ResultCache<S>::make_key(0, q, 0);
   cache.install(k, q.lhs);
   EXPECT_FALSE(cache.probe(k, [](const auto&) { return false; }).has_value());
   EXPECT_EQ(cache.stats().misses, 0u);  // disabled probes don't even count
@@ -140,7 +139,7 @@ TEST(ResultCache, MissInstallHitRoundTripsTheExactBytes) {
   serve::ResultCache<S> cache({.max_bytes = 1 << 16});
   const auto q = one_row_query(16, 2);
   const auto val = random_matrix<S>(1, 8, 6, 3, dbl_entry);
-  const auto k = serve::ResultCache<S>::make_key(0, 0, q, 0);
+  const auto k = serve::ResultCache<S>::make_key(0, q, 0);
   auto fresh = [](const auto&) { return false; };
   EXPECT_FALSE(cache.probe(k, fresh).has_value());
   cache.install(k, val);
@@ -164,7 +163,7 @@ TEST(ResultCache, LruEvictsUnderTheByteBudgetOldestFirst) {
   std::vector<serve::ResultCache<S>::Key> keys;
   for (std::uint64_t i = 0; i < 16; ++i) {
     const auto q = one_row_query(16, 100 + i);
-    keys.push_back(serve::ResultCache<S>::make_key(0, 0, q, 0));
+    keys.push_back(serve::ResultCache<S>::make_key(0, q, 0));
     cache.install(keys.back(), val);
   }
   const auto st = cache.stats();
@@ -181,7 +180,7 @@ TEST(ResultCache, LruEvictsUnderTheByteBudgetOldestFirst) {
 TEST(ResultCache, OversizedAnswerIsNotInstalled) {
   serve::ResultCache<S> cache({.max_bytes = 64});
   const auto q = one_row_query(16, 7);
-  const auto k = serve::ResultCache<S>::make_key(0, 0, q, 0);
+  const auto k = serve::ResultCache<S>::make_key(0, q, 0);
   cache.install(k, random_matrix<S>(4, 32, 64, 8, dbl_entry));
   EXPECT_EQ(cache.stats().installs, 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -190,7 +189,7 @@ TEST(ResultCache, OversizedAnswerIsNotInstalled) {
 TEST(ResultCache, NegativeEntriesFollowTheConfigSwitch) {
   const Matrix<double> empty(1, 8, 0.0);
   const auto q = one_row_query(16, 9);
-  const auto k = serve::ResultCache<S>::make_key(0, 0, q, 0);
+  const auto k = serve::ResultCache<S>::make_key(0, q, 0);
   auto fresh = [](const auto&) { return false; };
   serve::ResultCache<S> on({.max_bytes = 1 << 12, .negative = true});
   on.install(k, empty);
@@ -209,7 +208,7 @@ TEST(ResultCache, StaleTailEntriesAreReclaimedLazilyOnProbe) {
   std::vector<serve::ResultCache<S>::Key> old_keys;
   for (std::uint64_t i = 0; i < 3; ++i) {
     old_keys.push_back(serve::ResultCache<S>::make_key(
-        0, 0, one_row_query(16, 200 + i), 0));
+        0, one_row_query(16, 200 + i), 0));
     cache.install(old_keys.back(), val);
   }
   auto stale = [](const serve::ResultCache<S>::Key& k) {
@@ -217,7 +216,7 @@ TEST(ResultCache, StaleTailEntriesAreReclaimedLazilyOnProbe) {
   };
   // A probe at the new epoch reclaims at most two tail entries.
   const auto k_new =
-      serve::ResultCache<S>::make_key(1, 0, one_row_query(16, 300), 0);
+      serve::ResultCache<S>::make_key(1, one_row_query(16, 300), 0);
   EXPECT_FALSE(cache.probe(k_new, stale).has_value());
   EXPECT_EQ(cache.stats().stale_drops, 2u);
   EXPECT_EQ(cache.stats().entries, 1u);
@@ -233,8 +232,8 @@ TEST(ResultCache, StaleTailEntriesAreReclaimedLazilyOnProbe) {
 
 TEST(CacheKey, SameLhsAtDifferentEpochsNeverCollides) {
   const auto q = one_row_query(16, 21);
-  const auto k0 = serve::ResultCache<S>::make_key(0, 0, q, 0);
-  const auto k1 = serve::ResultCache<S>::make_key(1, 0, q, 0);
+  const auto k0 = serve::ResultCache<S>::make_key(0, q, 0);
+  const auto k1 = serve::ResultCache<S>::make_key(1, q, 0);
   EXPECT_NE(k0, k1);
   serve::ResultCache<S> cache({.max_bytes = 1 << 14});
   cache.install(k0, q.lhs);
@@ -251,8 +250,8 @@ TEST(CacheKey, SamePatternDifferentValueBytesNeverCollides) {
       Matrix<double>::from_unique_triples(1, 8, std::move(ta)));
   auto qb = serve::Query<S>::analytic(
       Matrix<double>::from_unique_triples(1, 8, std::move(tb)));
-  EXPECT_NE(serve::ResultCache<S>::make_key(0, 0, qa, 0),
-            serve::ResultCache<S>::make_key(0, 0, qb, 0));
+  EXPECT_NE(serve::ResultCache<S>::make_key(0, qa, 0),
+            serve::ResultCache<S>::make_key(0, qb, 0));
 }
 
 TEST(CacheKey, SameMaskDifferentSenseOrProbeNeverCollides) {
@@ -262,7 +261,7 @@ TEST(CacheKey, SameMaskDifferentSenseOrProbeNeverCollides) {
     auto q = serve::Query<S>::masked(lhs, mask,
                                      {.complement = complement,
                                       .probe = probe});
-    return serve::ResultCache<S>::make_key(0, 0, q, 0);
+    return serve::ResultCache<S>::make_key(0, q, 0);
   };
   const auto plain = make(false, MaskProbe::kAuto);
   EXPECT_NE(plain, make(true, MaskProbe::kAuto));    // sense differs
@@ -270,7 +269,7 @@ TEST(CacheKey, SameMaskDifferentSenseOrProbeNeverCollides) {
       << "probe policy must be part of the key";
   // And masked vs unmasked with the same lhs: kind differs.
   auto qa = serve::Query<S>::analytic(lhs);
-  EXPECT_NE(plain, serve::ResultCache<S>::make_key(0, 0, qa, 0));
+  EXPECT_NE(plain, serve::ResultCache<S>::make_key(0, qa, 0));
 }
 
 TEST(CacheKey, CarriedQueriesAreNeverCacheable) {
@@ -351,109 +350,6 @@ TEST(ExecutorCache, MutationInvalidatesByEpochWithoutFlushing) {
   // And the new-epoch answer is itself cached: one more submit hits.
   (void)cached.wait(cached.submit(q));
   EXPECT_EQ(cached.cache_stats().hits, 2u);
-}
-
-/// From-scratch rebuild of `m` after `ops` (applied in order, last write
-/// per key wins) — the referee for answers served at the new epoch.
-Matrix<double> rebuilt_after(const Matrix<double>& m,
-                             const UpdateBatch<double>& ops) {
-  std::map<std::pair<Index, Index>, double> cells;
-  for (const auto& t : m.to_triples()) cells[{t.row, t.col}] = t.val;
-  for (const auto& u : ops) {
-    if (u.erase) {
-      cells.erase({u.row, u.col});
-    } else {
-      cells[{u.row, u.col}] = u.val;
-    }
-  }
-  std::vector<Triple<double>> t;
-  for (const auto& [rc, v] : cells) t.push_back({rc.first, rc.second, v});
-  return Matrix<double>::from_unique_triples(m.nrows(), m.ncols(),
-                                             std::move(t));
-}
-
-TEST(ExecutorCache, MultiBaseMutateInvalidatesOnlyTheMutatedBase) {
-  // Two bases of different shapes behind ONE cached executor. A mixed
-  // batch warms the cache; base 1 is mutated; the same mixed batch is
-  // served again. Base-0 answers must replay from the cache, base-1
-  // answers must miss and recompute at the new epoch — in one launch for
-  // base 1 alone — and every answer must be byte-identical to run_single
-  // against a from-scratch rebuild of its base at that epoch. Base-0
-  // queries run as tenant 0 and base-1 queries as tenant 1, so the
-  // per-tenant cache counters split hits and misses per base.
-  const Index n0 = 32, n1 = 24, c1 = 40;
-  const auto b0 = holey_base(n0);
-  const auto b1 = random_matrix<S>(n1, c1, 150, 71, dbl_entry);
-  UpdateBatch<double> ops;
-  for (Index r = 0; r < n1; ++r) {  // touch every base-1 row
-    ops.push_back(Update<double>::assign(r, (r * 7) % c1, 2.0 + r));
-  }
-  for (const auto& t : b1.to_triples()) {
-    if (t.row % 3 == 0) ops.push_back(Update<double>::erased(t.row, t.col));
-  }
-  const auto b1_after = rebuilt_after(b1, ops);
-  ASSERT_NE(b1_after, b1);
-
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> base_of;
-  for (int i = 0; i < 8; ++i) {
-    const auto b = static_cast<std::size_t>(i % 2);
-    const Index rows = b == 0 ? n0 : n1;
-    const Index cols = b == 0 ? n0 : c1;
-    const auto s = 80 + static_cast<std::uint64_t>(i) * 3;
-    if (i % 4 >= 2) {
-      qs.push_back(serve::Query<S>::masked(
-          random_matrix<S>(2, rows, 8, s, dbl_entry),
-          random_matrix<S>(2, cols, 24, s + 1, dbl_entry),
-          {.complement = i % 4 == 3}));
-    } else {
-      qs.push_back(serve::Query<S>::analytic(
-          random_matrix<S>(2, rows, 8, s, dbl_entry)));
-    }
-    base_of.push_back(b);
-  }
-
-  for (const int nt : {1, 2, 8}) {
-    ThreadGuard guard(nt);
-    SCOPED_TRACE("threads=" + std::to_string(nt));
-    std::vector<Matrix<double>> bases{b0, b1};
-    serve::Executor<S> ex(bases, {.cache_bytes = 1 << 16});
-    const auto serve_all = [&] {
-      std::vector<std::size_t> tickets;
-      for (std::size_t i = 0; i < qs.size(); ++i) {
-        tickets.push_back(ex.submit(static_cast<serve::TenantId>(base_of[i]),
-                                    base_of[i], qs[i]));
-      }
-      ex.flush();
-      std::vector<Matrix<double>> out;
-      for (const auto t : tickets) out.push_back(ex.wait(t));
-      return out;
-    };
-
-    const auto first = serve_all();
-    EXPECT_EQ(ex.stats().kernel_launches, 2u);  // both bases missed
-    EXPECT_EQ(ex.cache_stats().misses, qs.size());
-    EXPECT_EQ(ex.mutate(1, 1, ops), 1u);
-    EXPECT_EQ(ex.base_epoch(0), 0u);
-    const auto second = serve_all();
-
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const auto& at0 = base_of[i] == 0 ? b0 : b1;
-      const auto& at1 = base_of[i] == 0 ? b0 : b1_after;
-      EXPECT_TRUE(bytes_identical(first[i], serve::run_single(at0, qs[i])))
-          << "pass 1, query " << i;
-      EXPECT_TRUE(bytes_identical(second[i], serve::run_single(at1, qs[i])))
-          << "pass 2, query " << i;
-    }
-    // Only base 1 missed after the mutate: one more launch, not two.
-    EXPECT_EQ(ex.stats().kernel_launches, 3u);
-    const auto t0 = ex.tenant_stats(0);
-    const auto t1 = ex.tenant_stats(1);
-    EXPECT_EQ(t0.cache_misses, 4u);  // pass 1 only
-    EXPECT_EQ(t0.cache_hits, 4u);    // every base-0 query in pass 2
-    EXPECT_EQ(t1.cache_misses, 8u);  // both passes
-    EXPECT_EQ(t1.cache_hits, 0u);
-  }
 }
 
 TEST(ExecutorCache, NegativeEntryInvalidatedWhenMutationFillsTheRow) {

@@ -333,7 +333,7 @@ TEST(DeltaBase, SnapshotServesPinnedEpochForever) {
   const auto want_at_1 = ref.rebuild(S::zero());
   const auto q = serve::Query<S>::analytic(
       random_matrix<S>(3, 24, 18, 23, dbl_entry));
-  const auto r_at_1 = serve::run_single(*pinned, q);
+  const auto r_at_1 = serve::run_single(pinned->base_view(), q);
   EXPECT_EQ(r_at_1, serve::run_single(want_at_1, q));
 
   // Epochs 2..5 publish and a compaction lands; the pinned snapshot's
@@ -345,7 +345,7 @@ TEST(DeltaBase, SnapshotServesPinnedEpochForever) {
   }
   db.compact();
   EXPECT_EQ(pinned->epoch, 1u);
-  EXPECT_EQ(serve::run_single(*pinned, q), r_at_1);
+  EXPECT_EQ(serve::run_single(pinned->base_view(), q), r_at_1);
   // And the live snapshot serves the new state.
   EXPECT_EQ(db.snapshot()->materialize(), ref.rebuild(S::zero()));
 }
@@ -362,7 +362,7 @@ TEST(DeltaBase, FloatBitsIdenticalToRebuild) {
   db.mutate(ops);
   const auto q = serve::Query<S>::analytic(
       random_matrix<S>(6, 40, 50, 33, dbl_entry));
-  const auto got = serve::run_single(*db.snapshot(), q).to_triples();
+  const auto got = serve::run_single(db.snapshot()->base_view(), q).to_triples();
   const auto want =
       serve::run_single(ref.rebuild(S::zero()), q).to_triples();
   ASSERT_EQ(got.size(), want.size());

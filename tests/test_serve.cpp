@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "db/planner.hpp"
@@ -20,6 +21,7 @@ namespace {
 
 using namespace hyperspace;
 using namespace hyperspace::sparse;
+using hyperspace::testing::ptrs;
 using hyperspace::testing::ThreadGuard;
 using S = semiring::PlusTimes<double>;
 
@@ -72,8 +74,8 @@ void expect_batched_equals_sequential(Index n, std::uint64_t seed,
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
     serve::ServeStats stats;
-    const auto batched = serve::run_batch(base, queries,
-                                          MxmStrategy::kAuto, &stats);
+    const auto batched = serve::run_batch<Sr>(base, ptrs(queries),
+                                              MxmStrategy::kAuto, &stats);
     ASSERT_EQ(batched.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(batched[i], serve::run_single(base, queries[i]))
@@ -109,7 +111,7 @@ TEST(ServeBatch, EveryStrategyBitIdentical) {
   const auto queries = ragged_batch<S>(n, 7, dbl_entry);
   for (const auto strat : {MxmStrategy::kGustavson, MxmStrategy::kHash,
                            MxmStrategy::kSorted}) {
-    const auto batched = serve::run_batch(base, queries, strat);
+    const auto batched = serve::run_batch<S>(base, ptrs(queries), strat);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(batched[i], serve::run_single(base, queries[i], strat))
           << "strategy=" << static_cast<int>(strat) << " query=" << i;
@@ -124,12 +126,12 @@ TEST(ServeBatch, StatsThreadCountInvariant) {
   serve::ServeStats ref;
   {
     ThreadGuard guard(1);
-    serve::run_batch(base, queries, MxmStrategy::kAuto, &ref);
+    serve::run_batch<S>(base, ptrs(queries), MxmStrategy::kAuto, &ref);
   }
   for (const int nt : {2, 8}) {
     ThreadGuard guard(nt);
     serve::ServeStats st;
-    serve::run_batch(base, queries, MxmStrategy::kAuto, &st);
+    serve::run_batch<S>(base, ptrs(queries), MxmStrategy::kAuto, &st);
     EXPECT_EQ(st.flops_kept, ref.flops_kept) << "threads=" << nt;
     EXPECT_EQ(st.flops_skipped, ref.flops_skipped) << "threads=" << nt;
     EXPECT_EQ(st.rows_coalesced, ref.rows_coalesced);
@@ -151,7 +153,7 @@ TEST(ServeBatch, HypersparseQueriesCoalesce) {
   qs.push_back(Q::analytic(random_matrix<S>(4, n, 20, 12, dbl_entry)));
   for (const int nt : {1, 8}) {
     ThreadGuard guard(nt);
-    const auto batched = serve::run_batch(base, qs);
+    const auto batched = serve::run_batch<S>(base, ptrs(qs));
     for (std::size_t i = 0; i < qs.size(); ++i) {
       EXPECT_EQ(batched[i], serve::run_single(base, qs[i])) << "query=" << i;
     }
@@ -162,8 +164,8 @@ TEST(ServeBatch, SelectReturnsBaseRows) {
   const Index n = 32;
   const auto base = random_matrix<S>(n, n, 200, 13, dbl_entry);
   const std::vector<Index> rows{3, 17, 3, 31};  // repeats allowed
-  const auto rs =
-      serve::run_batch<S>(base, {serve::Query<S>::select(rows, n)});
+  const std::vector<serve::Query<S>> qs{serve::Query<S>::select(rows, n)};
+  const auto rs = serve::run_batch<S>(base, ptrs(qs));
   ASSERT_EQ(rs.size(), 1u);
   const auto& r = rs.front();
   EXPECT_EQ(r.nrows(), static_cast<Index>(rows.size()));
@@ -182,20 +184,18 @@ TEST(ServeBatch, SelectReturnsBaseRows) {
 TEST(ServeBatch, ShapeMismatchesThrow) {
   const auto base = random_matrix<S>(16, 16, 40, 15, dbl_entry);
   using Q = serve::Query<S>;
+  const std::vector<Q> narrow{
+      Q::analytic(random_matrix<S>(2, 8, 4, 1, dbl_entry))};
+  EXPECT_THROW(serve::run_batch<S>(base, ptrs(narrow)), std::invalid_argument);
   EXPECT_THROW(
-      serve::run_batch<S>(
-          base, {Q::analytic(random_matrix<S>(2, 8, 4, 1, dbl_entry))}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      serve::run_batch<S>(
-          base, {Q::masked(random_matrix<S>(2, 16, 4, 1, dbl_entry),
-                                  random_matrix<S>(3, 16, 4, 2, dbl_entry))}),
+      (void)Q::masked(random_matrix<S>(2, 16, 4, 1, dbl_entry),
+                      random_matrix<S>(3, 16, 4, 2, dbl_entry)),
       std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------
-// Multi-base serving: a multi-base Executor runs each batch as one
-// coalesced launch per base it touches.
+// Multi-base serving: several bases are several single-base Executors, and
+// each runs its share of the traffic as one coalesced launch.
 
 /// Ragged queries against one (nrows × ncols) base: unmasked, plain- and
 /// complement-masked, select, and empty.
@@ -217,32 +217,40 @@ std::vector<serve::Query<Sr>> base_queries(Index nrows, Index ncols,
   return qs;
 }
 
-/// Submit every query to a synchronous multi-base Executor, flush once,
-/// and require each ticket to equal run_single against its own base, with
-/// exactly one kernel launch per base the batch touched.
+/// Give every base its own synchronous Executor, submit each query to its
+/// base's executor in the given (interleaved) order, flush them all, and
+/// require each ticket to equal run_single against its own base, with
+/// exactly one kernel launch per executor that received K ≥ 1 queries
+/// (launches_saved == K − 1).
 template <semiring::Semiring Sr>
-void expect_executor_matches_singles(
+void expect_executors_match_singles(
     const std::vector<Matrix<typename Sr::value_type>>& bases,
     const std::vector<serve::Query<Sr>>& qs,
     const std::vector<std::size_t>& ids, MxmStrategy strategy) {
-  serve::Executor<Sr> ex(bases, {.strategy = strategy});
-  std::vector<std::size_t> tickets;
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    tickets.push_back(ex.submit(0, ids[i], qs[i]));
+  std::vector<std::unique_ptr<serve::Executor<Sr>>> execs;
+  for (const auto& b : bases) {
+    execs.push_back(std::make_unique<serve::Executor<Sr>>(
+        b, typename serve::Executor<Sr>::Config{.strategy = strategy}));
   }
-  ex.flush();
+  std::vector<std::size_t> tickets;
+  std::vector<std::uint64_t> per_base(bases.size(), 0);
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(ex.wait(tickets[i]),
+    tickets.push_back(execs[ids[i]]->submit(0, qs[i]));
+    ++per_base[ids[i]];
+  }
+  for (auto& ex : execs) ex->flush();
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(execs[ids[i]]->wait(tickets[i]),
               serve::run_single(bases[ids[i]], qs[i], strategy))
         << "query=" << i << " base=" << ids[i];
   }
-  std::vector<std::size_t> touched(ids);
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  const auto st = ex.stats();
-  EXPECT_EQ(st.queries, qs.size());
-  EXPECT_EQ(st.kernel_launches, touched.size());
-  EXPECT_EQ(st.launches_saved, qs.size() - touched.size());
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    if (per_base[b] == 0) continue;
+    const auto st = execs[b]->stats();
+    EXPECT_EQ(st.queries, per_base[b]) << "base=" << b;
+    EXPECT_EQ(st.kernel_launches, 1u) << "base=" << b;
+    EXPECT_EQ(st.launches_saved, per_base[b] - 1) << "base=" << b;
+  }
 }
 
 template <semiring::Semiring Sr, typename Gen>
@@ -272,7 +280,7 @@ void expect_multi_batched_equals_sequential(std::uint64_t seed, Gen&& entry) {
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
     SCOPED_TRACE("threads=" + std::to_string(nt));
-    expect_executor_matches_singles<Sr>(bases, qs, ids, MxmStrategy::kAuto);
+    expect_executors_match_singles<Sr>(bases, qs, ids, MxmStrategy::kAuto);
   }
 }
 
@@ -313,27 +321,8 @@ TEST(ServeMultiBase, EveryStrategyBitIdentical) {
   for (const auto strat : {MxmStrategy::kGustavson, MxmStrategy::kHash,
                            MxmStrategy::kSorted}) {
     SCOPED_TRACE("strategy=" + std::to_string(static_cast<int>(strat)));
-    expect_executor_matches_singles<S>(bases, qs, ids, strat);
+    expect_executors_match_singles<S>(bases, qs, ids, strat);
   }
-}
-
-TEST(ServeMultiBase, SingleBaseIdsDelegateToSingleBasePath) {
-  // Every query routed at base 0 of a two-base executor: one group, so one
-  // launch, answer-identical to a plain single-base run_batch.
-  std::vector<Matrix<double>> bases;
-  bases.push_back(random_matrix<S>(32, 32, 200, 81, dbl_entry));
-  bases.push_back(random_matrix<S>(16, 16, 60, 83, dbl_entry));
-  const auto qs = ragged_batch<S>(32, 82, dbl_entry);
-  serve::Executor<S> ex(bases);
-  std::vector<std::size_t> tickets;
-  for (const auto& q : qs) tickets.push_back(ex.submit(0, 0, q));
-  ex.flush();
-  const auto single = serve::run_batch(bases[0], qs);
-  ASSERT_EQ(single.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(ex.wait(tickets[i]), single[i]) << "query=" << i;
-  }
-  EXPECT_EQ(ex.stats().kernel_launches, 1u);
 }
 
 TEST(ServeMultiBase, HypersparseBasesCoalesce) {
@@ -354,13 +343,14 @@ TEST(ServeMultiBase, HypersparseBasesCoalesce) {
   for (const int nt : {1, 8}) {
     ThreadGuard guard(nt);
     SCOPED_TRACE("threads=" + std::to_string(nt));
-    expect_executor_matches_singles<S>(bases, qs, ids, MxmStrategy::kAuto);
+    expect_executors_match_singles<S>(bases, qs, ids, MxmStrategy::kAuto);
   }
 }
 
 TEST(ServeMultiBase, GustavsonTooWideForStackFallsBackPerBase) {
   // Each base alone fits the dense scratch, the two together would not:
-  // forced kGustavson serves each base in its own launch, and stays exact.
+  // forced kGustavson serves each base through its own executor, one
+  // launch each, and stays exact.
   const Index wide = (Index{1} << 23) + 8;  // 2 × wide > kMaxGustavsonWidth
   ASSERT_GT(2 * wide, kMaxGustavsonWidth);
   std::vector<Matrix<double>> bases;
@@ -373,16 +363,7 @@ TEST(ServeMultiBase, GustavsonTooWideForStackFallsBackPerBase) {
         2, 16, 8, 97 + static_cast<std::uint64_t>(i), dbl_entry)));
     ids.push_back(static_cast<std::size_t>(i % 2));
   }
-  expect_executor_matches_singles<S>(bases, qs, ids,
-                                     MxmStrategy::kGustavson);
-}
-
-TEST(ServeMultiBase, BadBaseIdsThrow) {
-  serve::Executor<S> ex(random_matrix<S>(8, 8, 20, 99, dbl_entry));
-  const auto q =
-      serve::Query<S>::analytic(random_matrix<S>(1, 8, 4, 100, dbl_entry));
-  EXPECT_THROW(ex.submit(0, ex.n_bases(), q), std::out_of_range);
-  EXPECT_EQ(ex.pending(), 0u);
+  expect_executors_match_singles<S>(bases, qs, ids, MxmStrategy::kGustavson);
 }
 
 // --------------------------------------------------------------------------

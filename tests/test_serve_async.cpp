@@ -1,13 +1,15 @@
 // Tests for the async multi-tenant executor (serve/executor.hpp): the
 // background flush thread, ticket futures (wait/poll), per-tenant
-// accounting and flop quotas, multi-base submission, and the shutdown /
-// drain protocol. The core invariant is unchanged from the synchronous
-// engine: no flush timing, batch boundary, tenant mix, base mix, or
-// thread count may ever change an answer.
+// accounting and flop quotas, and the shutdown / drain protocol. The
+// core invariant is unchanged from the synchronous engine: no flush
+// timing, batch boundary, tenant mix, or thread count may ever change an
+// answer.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -80,8 +82,6 @@ void expect_async_equals_sync(std::uint64_t seed, Gen&& entry) {
   std::vector<sparse::Matrix<T>> bases;
   bases.push_back(random_matrix<Sr>(40, 40, 240, seed, entry));
   bases.push_back(random_matrix<Sr>(24, 32, 150, seed + 5, entry));
-  const auto b0 = bases[0];  // value copies for the reference runs
-  const auto b1 = bases[1];
 
   std::vector<serve::Query<Sr>> qs;
   std::vector<std::size_t> base_of;
@@ -104,30 +104,39 @@ void expect_async_equals_sync(std::uint64_t seed, Gen&& entry) {
 
   for (const int nt : {1, 2, 8}) {
     ThreadGuard guard(nt);
-    serve::Executor<Sr> ex(bases, {.max_batch_queries = 5,
-                                   .async = true,
-                                   .flush_queue_depth = 7});
+    // One async executor per base, both flushing in the background.
+    std::vector<std::unique_ptr<serve::Executor<Sr>>> execs;
+    for (const auto& b : bases) {
+      execs.push_back(std::make_unique<serve::Executor<Sr>>(
+          b, typename serve::Executor<Sr>::Config{.max_batch_queries = 5,
+                                                  .async = true,
+                                                  .flush_queue_depth = 7}));
+    }
     std::vector<std::size_t> tickets;
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      tickets.push_back(ex.submit(static_cast<serve::TenantId>(i % 3),
-                                  base_of[i], qs[i]));
+      tickets.push_back(execs[base_of[i]]->submit(
+          static_cast<serve::TenantId>(i % 3), qs[i]));
     }
     for (std::size_t i = 0; i < qs.size(); ++i) {
-      const auto& base = base_of[i] == 0 ? b0 : b1;
-      EXPECT_EQ(ex.wait(tickets[i]), serve::run_single(base, qs[i]))
+      EXPECT_EQ(execs[base_of[i]]->wait(tickets[i]),
+                serve::run_single(bases[base_of[i]], qs[i]))
           << "threads=" << nt << " query=" << i;
     }
-    const auto st = ex.stats();
-    EXPECT_EQ(st.queries, qs.size());
-    // Per-tenant exact counters are flush-timing invariant.
-    std::uint64_t tq = 0, trows = 0;
-    for (const auto t : ex.tenants()) {
-      tq += ex.tenant_stats(t).queries;
-      trows += ex.tenant_stats(t).rows;
+    std::uint64_t total = 0;
+    for (auto& ex : execs) {
+      const auto st = ex->stats();
+      total += st.queries;
+      // Per-tenant exact counters are flush-timing invariant.
+      std::uint64_t tq = 0, trows = 0;
+      for (const auto t : ex->tenants()) {
+        tq += ex->tenant_stats(t).queries;
+        trows += ex->tenant_stats(t).rows;
+      }
+      EXPECT_EQ(tq, st.queries);
+      EXPECT_EQ(trows, st.rows_coalesced);
+      ex->shutdown();
     }
-    EXPECT_EQ(tq, st.queries);
-    EXPECT_EQ(trows, st.rows_coalesced);
-    ex.shutdown();
+    EXPECT_EQ(total, qs.size());
   }
 }
 
@@ -387,37 +396,6 @@ TEST(Executor, RoundRobinRotatesAcrossBatches) {
   EXPECT_EQ(ex.tenant_stats(2).deferrals, 3u);
 }
 
-// --------------------------------------------------------------------------
-// Multi-base submission through the executor.
-
-TEST(Executor, MultiBaseSubmitMatchesPerBaseSingles) {
-  std::vector<Matrix<double>> bases;
-  bases.push_back(random_matrix<S>(32, 32, 180, 51, dbl_entry));
-  bases.push_back(random_matrix<S>(20, 48, 120, 52, dbl_entry));
-  const auto b0 = bases[0];
-  const auto b1 = bases[1];
-  serve::Executor<S> ex(bases);
-  std::vector<std::size_t> tickets;
-  std::vector<serve::Query<S>> qs;
-  std::vector<std::size_t> base_of;
-  for (int i = 0; i < 10; ++i) {
-    const std::size_t b = static_cast<std::size_t>(i % 2);
-    qs.push_back(serve::Query<S>::analytic(random_matrix<S>(
-        2, b == 0 ? 32 : 20, 8, 60 + static_cast<std::uint64_t>(i),
-        dbl_entry)));
-    base_of.push_back(b);
-    tickets.push_back(ex.submit(0, b, qs.back()));
-  }
-  ex.flush();
-  EXPECT_EQ(ex.stats().kernel_launches, 2u);  // one launch per base
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(ex.wait(tickets[i]),
-              serve::run_single(base_of[i] == 0 ? b0 : b1, qs[i]))
-        << "query=" << i;
-  }
-  EXPECT_THROW(ex.submit(0, 2, qs.front()), std::out_of_range);
-}
-
 TEST(Executor, GustavsonTooWideBaseRejectedAtConstruction) {
   // A forced dense-scratch strategy over a base wider than the scratch cap
   // could only fail inside a flush — on the background thread in async
@@ -426,6 +404,23 @@ TEST(Executor, GustavsonTooWideBaseRejectedAtConstruction) {
   EXPECT_THROW(serve::Executor<S>(std::move(wide),
                                   {.strategy = MxmStrategy::kGustavson}),
                std::invalid_argument);
+}
+
+TEST(Executor, NonPositiveFlushIntervalRejectedInAsyncMode) {
+  // A zero deadline would make the flush thread's timed wait return at
+  // once, spinning on the queue lock while nothing is queued. Async mode
+  // refuses it up front; sync mode never reads the interval.
+  using Ex = serve::Executor<S>;
+  EXPECT_THROW(Ex(uniform_base(8), {.async = true,
+                                    .flush_interval =
+                                        std::chrono::milliseconds(0)}),
+               std::invalid_argument);
+  EXPECT_THROW(Ex(uniform_base(8), {.async = true,
+                                    .flush_interval =
+                                        std::chrono::milliseconds(-1)}),
+               std::invalid_argument);
+  Ex sync(uniform_base(8), {.flush_interval = std::chrono::milliseconds(0)});
+  EXPECT_EQ(sync.pending(), 0u);
 }
 
 TEST(Executor, WaitUnknownTicketThrows) {
